@@ -19,6 +19,7 @@ from .constructive import (
 )
 from .errors import (
     ErrorReport,
+    coalition_errors,
     coalition_member_mse,
     mse_coarse,
     mse_fine,

@@ -157,6 +157,13 @@ def _parse_number(text: str, exact: bool) -> Number:
         raise ValidationError(f"bad number {text!r}: {exc}")
 
 
+def _strict_int(value: object, field: str) -> int:
+    """An integer field of a config document; 2.5, "2" or true is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{field}: must be an integer, got {value!r}")
+    return value
+
+
 def _player_key(key: str, m: int) -> int:
     if key.isdigit():
         idx = int(key)
@@ -266,7 +273,7 @@ class Inputs:
                     bias = sum(coef)
             if bias is None:
                 raise ValidationError("linreg needs sigma_bias_sq or coef_variances")
-            linreg = LinRegSpec(d=int(raw_linreg["d"]), sigma_bias_sq=bias)
+            linreg = LinRegSpec(d=_strict_int(raw_linreg.get("d"), "linreg.d"), sigma_bias_sq=bias)
 
         self.config: GameConfig | None = None
         if players is not None:
@@ -298,12 +305,8 @@ class Inputs:
             missing = TWO_SIZE_KEYS - set(raw_two)
             if missing:
                 raise ValidationError(f"two_size section is missing {sorted(missing)}")
-            self.two_size = TwoSizeGame(
-                n_s=int(raw_two["n_s"]),
-                n_l=int(raw_two["n_l"]),
-                S=int(raw_two["S"]),
-                L=int(raw_two["L"]),
-            )
+            fields = {k: _strict_int(raw_two[k], f"two_size.{k}") for k in TWO_SIZE_KEYS}
+            self.two_size = TwoSizeGame(**fields)
 
         self.mc = dict(doc.get("mc") or {})
         unknown = set(self.mc) - MC_KEYS

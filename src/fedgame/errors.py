@@ -9,13 +9,19 @@ All formulas are rational in the sample counts and the distribution
 parameters, so they evaluate exactly when called with Fraction parameters
 (see ``model.exact_config``).  Expressions are ordered so that integer
 subterms are multiplied by a parameter before any division.
+
+Each scheme's formula is written once, as a function of one member and of
+terms the whole coalition shares (the sample sums N and Q, the regression
+global variance, the optimal-fine V_i).  ``coalition_errors`` computes the
+shared terms once for all members; ``coalition_member_mse`` and the
+per-scheme functions go through the same formulas for a single member.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     Coalition,
@@ -28,7 +34,6 @@ from .model import (
     Local,
     Number,
     Partition,
-    ROW_SUM_TOL,
     TwoSizeGame,
     Uniform,
     ValidationError,
@@ -63,6 +68,17 @@ def _bias_coef(config: GameConfig) -> Number:
     return config.sigma_sq if config.linreg is None else config.linreg.sigma_bias_sq
 
 
+def effective_mean_params(config: GameConfig) -> tuple[Number, Number, bool]:
+    """(mu, bias, is_approximation) for the optimal-weight formulas.
+
+    Mean estimation passes through; linear regression substitutes
+    mu_e' = d*mu_e and bias = sigma_bias_sq (valid when n_i >> d).
+    """
+    if config.linreg is None:
+        return config.mu_e, config.sigma_sq, False
+    return config.mu_e * config.linreg.d, config.linreg.sigma_bias_sq, True
+
+
 def _variance_term(config: GameConfig, n: int) -> Number:
     """mu_e times the per-player variance multiplier."""
     if config.linreg is None:
@@ -73,75 +89,76 @@ def _variance_term(config: GameConfig, n: int) -> Number:
     return config.mu_e * d / (n - d - 1)
 
 
-def _bias_parts(j: int, coalition: Coalition, config: GameConfig) -> tuple[int, int]:
-    """(N, B_j) with N the coalition sample total and B_j the bias integer."""
-    ns = config.players
-    total = sum(ns[i] for i in coalition)
-    b = sum(ns[i] * ns[i] for i in coalition if i != j) + (total - ns[j]) ** 2
-    return total, b
-
-
-def _check_linreg_members(coalition: Coalition, config: GameConfig) -> None:
+def _check_linreg_members(members: Iterable[int], config: GameConfig) -> None:
     if config.linreg is None:
         return
     d = config.linreg.d
-    for i in coalition:
-        if config.players[i] <= d + 1:
-            raise ValidationError(
-                f"linear regression needs n > d+1 (n={config.players[i]}, d={d})"
-            )
+    n = min(config.players[i] for i in members)
+    if n <= d + 1:
+        raise ValidationError(f"linear regression needs n > d+1 (n={n}, d={d})")
 
 
-def mse_local(j: int, config: GameConfig) -> Number:
-    """Expected MSE of local estimation: mu_e/n_j, or mu_e*d/(n_j-d-1)."""
-    _check_player(j, config)
-    return _variance_term(config, config.players[j])
+def _sample_sums(members: Iterable[int], ns: Sequence[int]) -> tuple[int, int]:
+    """(N, Q): the members' sample total and their sum of squared counts."""
+    total = square = 0
+    for i in members:
+        n = ns[i]
+        total += n
+        square += n * n
+    return total, square
 
 
-def mse_uniform(j: int, coalition: Coalition, config: GameConfig) -> Number:
-    """Expected MSE of player j under the single sample-weighted model."""
-    _check_member(j, coalition)
-    _check_player(j, config)
-    _check_linreg_members(coalition, config)
-    if len(coalition) == 1:
-        return mse_local(j, config)
+def _bias_integer(n_j: int, total: int, square: int) -> int:
+    """B_j: the other members' squared counts plus (N - n_j)^2."""
+    return square - n_j * n_j + (total - n_j) ** 2
+
+
+def _global_variance(members: Iterable[int], total: int, config: GameConfig) -> Number:
+    """Linear-regression variance of the coalition's sample-weighted model."""
     ns = config.players
-    total, b = _bias_parts(j, coalition, config)
-    if config.linreg is None:
-        variance = config.mu_e / total
-    else:
-        d = config.linreg.d
-        variance = sum(
-            config.mu_e * ns[i] * ns[i] * d / ((ns[i] - d - 1) * total * total)
-            for i in coalition
-        )
-    return variance + _bias_coef(config) * b / (total * total)
+    d = config.linreg.d
+    return sum(
+        config.mu_e * ns[i] * ns[i] * d / ((ns[i] - d - 1) * total * total)
+        for i in members
+    )
 
 
-def mse_coarse(j: int, coalition: Coalition, w: Number, config: GameConfig) -> Number:
-    """Expected MSE of player j blending global and local models with w."""
-    if not (0 <= w <= 1):
-        raise ValidationError(f"coarse weight outside [0,1]: {w!r}")
-    _check_member(j, coalition)
-    _check_player(j, config)
-    _check_linreg_members(coalition, config)
-    if len(coalition) == 1:
-        return mse_local(j, config)
-    ns = config.players
-    n_j = ns[j]
-    total, b = _bias_parts(j, coalition, config)
+# --- member formulas: one scheme each, given the coalition-wide terms ---------
+
+
+def _uniform_member(
+    n_j: int, total: int, square: int, global_var: Number | None, config: GameConfig
+) -> Number:
+    variance = config.mu_e / total if config.linreg is None else global_var
+    return variance + _bias_coef(config) * _bias_integer(n_j, total, square) / (total * total)
+
+
+def _coarse_member(
+    n_j: int,
+    w: Number,
+    total: int,
+    square: int,
+    global_var: Number | None,
+    config: GameConfig,
+) -> Number:
     if config.linreg is None:
         variance = config.mu_e * (w * w / n_j) + config.mu_e * (1 - w * w) / total
     else:
         d = config.linreg.d
-        global_var = sum(
-            config.mu_e * ns[i] * ns[i] * d / ((ns[i] - d - 1) * total * total)
-            for i in coalition
-        )
         variance = (1 - w) ** 2 * global_var + config.mu_e * (
             w * w + (1 - w) * w * 2 * n_j / total
         ) * d / (n_j - d - 1)
+    b = _bias_integer(n_j, total, square)
     return variance + _bias_coef(config) * b * (1 - w) ** 2 / (total * total)
+
+
+def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Number) -> Number:
+    """Optimal-coarse closed form from (n_j, N, B); singleton degenerates to local."""
+    if total == n_j:
+        return mu_e / n_j
+    num = mu_e * mu_e * (total - n_j) + mu_e * bias * b
+    den = mu_e * total * (total - n_j) + bias * n_j * b
+    return num / den
 
 
 def _row_bias_sums(j: int, row: Mapping[int, Number]) -> tuple[Number, Number]:
@@ -151,7 +168,7 @@ def _row_bias_sums(j: int, row: Mapping[int, Number]) -> tuple[Number, Number]:
 
 
 def _fine_mean_mse(
-    sample_counts: Mapping[int, int],
+    sample_counts: Sequence[int],
     j: int,
     row: Mapping[int, Number],
     mu_e: Number,
@@ -163,30 +180,10 @@ def _fine_mean_mse(
     return variance + bias_coef * (off_sq + off * off)
 
 
-def _check_row(row: Mapping[int, Number], coalition: Coalition) -> None:
-    if set(row) != set(coalition.members):
-        raise ValidationError(
-            f"weight row keys {sorted(row)} do not match coalition {coalition.members}"
-        )
-    total = sum(row.values())
-    if abs(total - 1) > ROW_SUM_TOL:
-        raise ValidationError(f"weight row sums to {total!r}, expected 1")
-
-
-def mse_fine(
-    j: int, coalition: Coalition, row: Mapping[int, Number], config: GameConfig
-) -> Number:
-    """Expected MSE of player j combining member models with weight row."""
-    _check_member(j, coalition)
-    _check_player(j, config)
-    _check_linreg_members(coalition, config)
-    _check_row(row, coalition)
-    if len(coalition) == 1:
-        return mse_local(j, config)
+def _fine_member(j: int, row: Mapping[int, Number], config: GameConfig) -> Number:
     ns = config.players
     if config.linreg is None:
-        counts = {i: ns[i] for i in coalition}
-        return _fine_mean_mse(counts, j, row, config.mu_e, config.sigma_sq)
+        return _fine_mean_mse(ns, j, row, config.mu_e, config.sigma_sq)
     d = config.linreg.d
     variance = sum(
         config.mu_e * v * v * d / (ns[i] - d - 1) for i, v in row.items()
@@ -195,54 +192,162 @@ def mse_fine(
     return variance + _bias_coef(config) * (off_sq + off * off)
 
 
-def mse_linreg(
-    j: int, coalition: Coalition, scheme: FederationScheme, config: GameConfig
-) -> Number:
-    """Linear-regression MSE for a fully weighted scheme (no optimal variants)."""
-    if config.linreg is None:
-        raise ValidationError("mse_linreg: config has no linreg spec")
-    if isinstance(scheme, Local):
-        return mse_local(j, config)
-    if isinstance(scheme, Uniform):
-        return mse_uniform(j, coalition, config)
-    if isinstance(scheme, Coarse):
-        if j not in scheme.weights:
-            raise ValidationError(f"coarse scheme has no weight for player {j}")
-        return mse_coarse(j, coalition, scheme.weights[j], config)
+def _optimal_fine_terms(
+    members: Iterable[int], config: GameConfig
+) -> tuple[Number, Number, dict[int, Number], dict[int, Number]]:
+    """(mu, bias, V, 1/V) for the optimal fine rows, V_i = bias + mu/n_i."""
+    mu, bias, _ = effective_mean_params(config)
+    ns = config.players
+    v_of = {i: bias + mu / ns[i] for i in members}
+    inv = {i: 1 / v for i, v in v_of.items()}
+    return mu, bias, v_of, inv
+
+
+def _optimal_row(
+    j: int,
+    members: Iterable[int],
+    v_of: Mapping[int, Number],
+    inv: Mapping[int, Number],
+    bias: Number,
+) -> dict[int, Number]:
+    """Player j's error-minimizing fine row over at least two members.
+
+    The sum of 1/V_i over the other members is taken afresh for each j, in
+    member order: subtracting 1/V_j from a shared total would change the
+    last bits of the result.
+    """
+    inv_sum = sum(inv[i] for i in members if i != j)
+    den = 1 + v_of[j] * inv_sum
+    row: dict[int, Number] = {j: (1 + bias * inv_sum) / den}
+    for k in members:
+        if k != j:
+            row[k] = (v_of[j] - bias) / (v_of[k] * den)
+    return row
+
+
+def _check_row(row: Mapping[int, Number], members: Sequence[int]) -> None:
+    """Row keys must be the coalition; the row sum is checked by ``Fine``."""
+    if set(row) != set(members):
+        raise ValidationError(
+            f"weight row keys {sorted(row)} do not match coalition {tuple(members)}"
+        )
+
+
+def _member_formula(
+    members: Sequence[int], scheme: FederationScheme, config: GameConfig
+) -> Callable[[int], Number]:
+    """Player -> expected MSE inside the coalition ``members`` under scheme.
+
+    Checks the coalition and computes what its members share once: the
+    sample sums N and Q, the linear-regression global variance, or the
+    optimal-fine V_i and 1/V_i.  The returned function then costs O(1) per
+    member, or O(|C|) under the fine-grained schemes.  A coarse weight or a
+    fine row is looked up only for the member asked about.
+    """
+    if not members:
+        raise ValidationError("coalition: must be non-empty")
+    _check_player(min(members), config)
+    _check_player(max(members), config)
+    _check_linreg_members(members, config)
+    ns = config.players
+    alone = len(members) == 1
+    if isinstance(scheme, Local) or (
+        alone and isinstance(scheme, (Uniform, CoarseOptimal, FineOptimal))
+    ):
+        return lambda j: _variance_term(config, ns[j])
     if isinstance(scheme, Fine):
-        if j not in scheme.rows:
-            raise ValidationError(f"fine scheme has no row for player {j}")
-        return mse_fine(j, coalition, scheme.rows[j], config)
-    raise ValidationError(
-        f"mse_linreg needs explicit weights, got {scheme_name(scheme)}"
-    )
+
+        def fine(j: int) -> Number:
+            if j not in scheme.rows:
+                raise ValidationError(f"fine scheme has no row for player {j}")
+            row = scheme.rows[j]
+            _check_row(row, members)
+            return _variance_term(config, ns[j]) if alone else _fine_member(j, row, config)
+
+        return fine
+    total, square = _sample_sums(members, ns)
+    if isinstance(scheme, CoarseOptimal):
+        mu, bias, _ = effective_mean_params(config)
+        return lambda j: _coarse_optimal_parts(
+            ns[j], total, _bias_integer(ns[j], total, square), mu, bias
+        )
+    if isinstance(scheme, FineOptimal):
+        mu, bias, v_of, inv = _optimal_fine_terms(members, config)
+        return lambda j: _fine_mean_mse(
+            ns, j, _optimal_row(j, members, v_of, inv, bias), mu, bias
+        )
+    global_var = None if config.linreg is None else _global_variance(members, total, config)
+    if isinstance(scheme, Uniform):
+        return lambda j: _uniform_member(ns[j], total, square, global_var, config)
+    if isinstance(scheme, Coarse):
+
+        def coarse(j: int) -> Number:
+            if j not in scheme.weights:
+                raise ValidationError(f"coarse scheme has no weight for player {j}")
+            if alone:
+                return _variance_term(config, ns[j])
+            return _coarse_member(ns[j], scheme.weights[j], total, square, global_var, config)
+
+        return coarse
+    raise ValidationError(f"unknown federation scheme {scheme!r}")
+
+
+def coalition_errors(
+    coalition: Coalition | Sequence[int], scheme: FederationScheme, config: GameConfig
+) -> dict[int, Number]:
+    """Every member's expected MSE inside the coalition, in one pass.
+
+    ``coalition`` may also be given as its members: distinct player indices
+    in ascending order, as read from a membership bitmask.  Each value is
+    identical, value and type, to ``coalition_member_mse`` for that member.
+    """
+    members = coalition.members if isinstance(coalition, Coalition) else coalition
+    error_of = _member_formula(members, scheme, config)
+    return {j: error_of(j) for j in members}
 
 
 def coalition_member_mse(
     j: int, coalition: Coalition, scheme: FederationScheme, config: GameConfig
 ) -> Number:
     """Expected MSE of player j inside its coalition under any scheme."""
-    if isinstance(scheme, Local):
-        _check_member(j, coalition)
-        return mse_local(j, config)
-    if isinstance(scheme, Uniform):
-        return mse_uniform(j, coalition, config)
-    if isinstance(scheme, Coarse):
-        if j not in scheme.weights:
-            raise ValidationError(f"coarse scheme has no weight for player {j}")
-        return mse_coarse(j, coalition, scheme.weights[j], config)
-    if isinstance(scheme, Fine):
-        if j not in scheme.rows:
-            raise ValidationError(f"fine scheme has no row for player {j}")
-        return mse_fine(j, coalition, scheme.rows[j], config)
+    _check_member(j, coalition)
+    return _member_formula(coalition.members, scheme, config)(j)
 
-    from . import weights  # deferred: weights builds on this module
 
-    if isinstance(scheme, CoarseOptimal):
-        return weights.optimal_coarse_mse(j, coalition, config)
-    if isinstance(scheme, FineOptimal):
-        return weights.optimal_fine_mse(j, coalition, config)
-    raise ValidationError(f"unknown federation scheme {scheme!r}")
+def mse_local(j: int, config: GameConfig) -> Number:
+    """Expected MSE of local estimation: mu_e/n_j, or mu_e*d/(n_j-d-1)."""
+    _check_player(j, config)
+    return _variance_term(config, config.players[j])
+
+
+def mse_uniform(j: int, coalition: Coalition, config: GameConfig) -> Number:
+    """Expected MSE of player j under the single sample-weighted model."""
+    return coalition_member_mse(j, coalition, Uniform(), config)
+
+
+def mse_coarse(j: int, coalition: Coalition, w: Number, config: GameConfig) -> Number:
+    """Expected MSE of player j blending global and local models with w."""
+    return coalition_member_mse(j, coalition, Coarse({j: w}), config)
+
+
+def mse_fine(
+    j: int, coalition: Coalition, row: Mapping[int, Number], config: GameConfig
+) -> Number:
+    """Expected MSE of player j combining member models with weight row."""
+    return coalition_member_mse(j, coalition, Fine({j: row}), config)
+
+
+def mse_linreg(
+    j: int, coalition: Coalition, scheme: FederationScheme, config: GameConfig
+) -> Number:
+    """Linear-regression MSE for a fully weighted scheme (no optimal variants)."""
+    if config.linreg is None:
+        raise ValidationError("mse_linreg: config has no linreg spec")
+    if isinstance(scheme, (CoarseOptimal, FineOptimal)):
+        raise ValidationError(
+            f"mse_linreg needs explicit weights, got {scheme_name(scheme)}"
+        )
+    return coalition_member_mse(j, coalition, scheme, config)
 
 
 def player_errors(
@@ -256,8 +361,7 @@ def player_errors(
         )
     values: dict[int, Number] = {}
     for coalition in partition.coalitions:
-        for j in coalition:
-            err = coalition_member_mse(j, coalition, scheme, config)
+        for j, err in coalition_errors(coalition, scheme, config).items():
             if err < 0 or not math.isfinite(float(err)):
                 raise ValidationError(f"player {j}: computed MSE {err!r} is not usable")
             values[j] = err
@@ -268,15 +372,6 @@ def player_errors(
 
 
 # --- two-size (count-symmetric) profile errors -------------------------------
-
-
-def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Number) -> Number:
-    """Optimal-coarse closed form from (n_j, N, B); singleton degenerates to local."""
-    if total == n_j:
-        return mu_e / n_j
-    num = mu_e * mu_e * (total - n_j) + mu_e * bias * b
-    den = mu_e * total * (total - n_j) + bias * n_j * b
-    return num / den
 
 
 def two_size_errors(
@@ -303,19 +398,16 @@ def two_size_errors(
             f"federation, not {scheme_name(scheme)}"
         )
     total = small_count * game.n_s + large_count * game.n_l
+    square = small_count * game.n_s**2 + large_count * game.n_l**2
 
-    def member_error(n_j: int, s_other: int, l_other: int) -> Number:
-        b = s_other * game.n_s**2 + l_other * game.n_l**2 + (total - n_j) ** 2
+    def member_error(n_j: int) -> Number:
+        b = _bias_integer(n_j, total, square)
         if isinstance(scheme, Uniform):
             if total == n_j:
                 return mu_e / n_j
             return mu_e / total + sigma_sq * b / (total * total)
         return _coarse_optimal_parts(n_j, total, b, mu_e, sigma_sq)
 
-    err_small = (
-        member_error(game.n_s, small_count - 1, large_count) if small_count else None
-    )
-    err_large = (
-        member_error(game.n_l, small_count, large_count - 1) if large_count else None
-    )
+    err_small = member_error(game.n_s) if small_count else None
+    err_large = member_error(game.n_l) if large_count else None
     return err_small, err_large

@@ -8,6 +8,8 @@ else in the package is a pure function of these values.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
@@ -60,21 +62,36 @@ class GameConfig:
         return len(self.players)
 
 
+def _is_count(value: object) -> bool:
+    """A strict integer: ``bool`` is an ``int`` subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_finite(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name}: must be a real number, got {value!r}")
+    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+        raise ValidationError(f"{name}: must be finite, got {value!r}")
+
+
 def validate(config: GameConfig) -> None:
     """Raise ValidationError naming the failing field if config is invalid."""
     if len(config.players) == 0:
         raise ValidationError("players: empty population")
     for n in config.players:
-        if not isinstance(n, int) or n < 1:
+        if not _is_count(n) or n < 1:
             raise ValidationError(f"players: sample count {n!r} must be a positive integer")
+    _check_finite("mu_e", config.mu_e)
     if not config.mu_e > 0:
         raise ValidationError(f"mu_e: must be positive, got {config.mu_e!r}")
+    _check_finite("sigma_sq", config.sigma_sq)
     if config.sigma_sq < 0:
         raise ValidationError(f"sigma_sq: must be non-negative, got {config.sigma_sq!r}")
     lr = config.linreg
     if lr is not None:
-        if not isinstance(lr.d, int) or lr.d < 1:
+        if not _is_count(lr.d) or lr.d < 1:
             raise ValidationError(f"linreg.d: must be a positive integer, got {lr.d!r}")
+        _check_finite("linreg.sigma_bias_sq", lr.sigma_bias_sq)
         if lr.sigma_bias_sq < 0:
             raise ValidationError("linreg.sigma_bias_sq: must be non-negative")
         for n in config.players:
@@ -82,6 +99,13 @@ def validate(config: GameConfig) -> None:
                 raise ValidationError(
                     f"players: n must exceed d+1 for linear regression (n={n}, d={lr.d})"
                 )
+
+
+def check_row_sum(row: Mapping[int, Number], what: str) -> None:
+    """A weight row must sum to 1 within ROW_SUM_TOL; a NaN entry fails."""
+    total = sum(row.values())
+    if not abs(total - 1) <= ROW_SUM_TOL:
+        raise ValidationError(f"{what} sums to {total!r}, expected 1")
 
 
 @dataclass(frozen=True, order=True)
@@ -227,11 +251,7 @@ class Fine:
 
     def __post_init__(self) -> None:
         for j, row in self.rows.items():
-            total = sum(row.values())
-            if abs(total - 1) > ROW_SUM_TOL:
-                raise ValidationError(
-                    f"fine row for player {j} sums to {total!r}, expected 1"
-                )
+            check_row_sum(row, f"fine row for player {j}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import coalition_member_mse, two_size_errors
+# coalition_member_mse is not called here; it stays importable from this
+# module for code that wraps the member-error layer by module attribute.
+from .errors import coalition_errors, coalition_member_mse, two_size_errors  # noqa: F401
 from .model import (
     CapExceededError,
     Coalition,
@@ -34,6 +36,7 @@ from .model import (
     exact_config,
     exact_scheme,
     scheme_name,
+    validate,
 )
 
 _STRICT_FLOOR = 1e-15
@@ -101,16 +104,14 @@ class _ErrorTable:
             scheme = exact_scheme(scheme)
         self.config = config
         self.scheme = scheme
+        self._players = range(len(config.players))
         self._memo: dict[int, dict[int, Number]] = {}
 
     def errors(self, mask: int) -> dict[int, Number]:
         cached = self._memo.get(mask)
         if cached is None:
-            coalition = Coalition.from_mask(mask)
-            cached = {
-                j: coalition_member_mse(j, coalition, self.scheme, self.config)
-                for j in coalition
-            }
+            members = [j for j in self._players if mask >> j & 1]
+            cached = coalition_errors(members, self.scheme, self.config)
             self._memo[mask] = cached
         return cached
 
@@ -157,6 +158,20 @@ def _blocking_coalition(
     return None
 
 
+def _verdict_table(
+    partition: Partition,
+    scheme: FederationScheme,
+    config: GameConfig,
+    prefs: PreferenceOrder,
+    what: str,
+) -> _ErrorTable:
+    """Check a verdict's inputs, then give it an empty, lazily filled table."""
+    validate(config)
+    _check_partition(partition, config)
+    _require_cap(partition.player_count, MAX_COALITION_PLAYERS, what)
+    return _ErrorTable(config, scheme, prefs)
+
+
 def is_core_stable(
     partition: Partition,
     scheme: FederationScheme,
@@ -164,9 +179,7 @@ def is_core_stable(
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> StabilityVerdict:
     """No coalition exists that every member strictly prefers."""
-    _check_partition(partition, config)
-    _require_cap(partition.player_count, MAX_COALITION_PLAYERS, "core stability")
-    table = _ErrorTable(config, scheme, prefs)
+    table = _verdict_table(partition, scheme, config, prefs, "core stability")
     witness = _blocking_coalition(partition, table, prefs, strict_notion=False)
     return StabilityVerdict(witness is None, witness, prefs.mode)
 
@@ -178,9 +191,7 @@ def is_strict_core_stable(
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> StabilityVerdict:
     """No coalition all members weakly prefer with one strict preference."""
-    _check_partition(partition, config)
-    _require_cap(partition.player_count, MAX_COALITION_PLAYERS, "strict core stability")
-    table = _ErrorTable(config, scheme, prefs)
+    table = _verdict_table(partition, scheme, config, prefs, "strict core stability")
     witness = _blocking_coalition(partition, table, prefs, strict_notion=True)
     return StabilityVerdict(witness is None, witness, prefs.mode)
 
@@ -219,9 +230,7 @@ def is_individually_stable(
 ) -> StabilityVerdict:
     """No player strictly gains by joining an existing coalition (members
     weakly agreeing) or, unless disabled, by leaving to be alone."""
-    _check_partition(partition, config)
-    _require_cap(partition.player_count, MAX_COALITION_PLAYERS, "individual stability")
-    table = _ErrorTable(config, scheme, prefs)
+    table = _verdict_table(partition, scheme, config, prefs, "individual stability")
     witness = _individual_deviation(partition, table, prefs, allow_singleton_deviation)
     return StabilityVerdict(witness is None, witness, prefs.mode)
 
@@ -233,6 +242,7 @@ def find_stable_partitions(
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> list[Partition]:
     """All partitions satisfying the notion, in canonical enumeration order."""
+    validate(config)
     if notion not in NOTIONS:
         raise ValidationError(f"unknown stability notion {notion!r}, expected {NOTIONS}")
     m = len(config.players)
@@ -263,9 +273,21 @@ class TwoSizeDeviation:
     target: tuple[int, int]  # profile after the move, including the mover
 
 
-def _check_arrangement(
-    game: TwoSizeGame, arrangement: Sequence[tuple[int, int]]
+def _check_two_size(
+    game: TwoSizeGame, arrangement: Sequence[tuple[int, int]], config: GameConfig
 ) -> None:
+    """The config must be the game's own mean-estimation game, and the
+    arrangement must cover the game's players."""
+    validate(config)
+    if config.linreg is not None:
+        raise ValidationError(
+            "two-size searches cover mean estimation only; config has a linreg spec"
+        )
+    if config.players != (game.n_s,) * game.S + (game.n_l,) * game.L:
+        raise ValidationError(
+            f"config players are not the two-size game's {game.S} x {game.n_s} "
+            f"then {game.L} x {game.n_l} samples"
+        )
     smalls = sum(s for s, _ in arrangement)
     larges = sum(l for _, l in arrangement)
     if smalls != game.S or larges != game.L:
@@ -298,7 +320,7 @@ def two_size_blocking_search(
     worse-off smalls and larges exist to populate it.  Candidates are
     scanned with s descending from S and l ascending from 0.
     """
-    _check_arrangement(game, arrangement)
+    _check_two_size(game, arrangement, config)
     mu_e, sigma_sq = _exact_params(config, prefs)
     blocks = [
         (profile, two_size_errors(game, profile[0], profile[1], mu_e, sigma_sq, scheme))
@@ -342,7 +364,7 @@ def two_size_weak_blocking_search(
     enough weakly willing players exist and some strictly willing player of
     a participating role can be included.
     """
-    _check_arrangement(game, arrangement)
+    _check_two_size(game, arrangement, config)
     mu_e, sigma_sq = _exact_params(config, prefs)
     blocks = [
         (profile, two_size_errors(game, profile[0], profile[1], mu_e, sigma_sq, scheme))
@@ -389,7 +411,7 @@ def two_size_individually_stable(
     Valid for any player counts because members of a size class are
     interchangeable: a labeled deviation exists iff a profile deviation does.
     """
-    _check_arrangement(game, arrangement)
+    _check_two_size(game, arrangement, config)
     mu_e, sigma_sq = _exact_params(config, prefs)
 
     def errs(s: int, l: int) -> tuple[Number | None, Number | None]:

@@ -3,8 +3,9 @@
 For mean estimation the formulas are exact.  For linear regression the
 optimal-weight derivations only exist in the many-samples limit, where the
 problem maps onto mean estimation with mu_e' = d*mu_e and bias coefficient
-sigma_bias_sq; this module applies that substitution and callers surface
-the approximation note from ``errors.LINREG_OPTIMAL_NOTE``.
+sigma_bias_sq (``effective_mean_params``); callers surface the approximation
+note from ``errors.LINREG_OPTIMAL_NOTE``.  The closed forms themselves live in
+``errors``, next to the other schemes', so every error has one formula.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import (
-    _coarse_optimal_parts,
+    _bias_integer,
     _check_member,
     _check_player,
     _check_row,
-    _fine_mean_mse,
-    mse_local,
+    _optimal_fine_terms,
+    _optimal_row,
+    _sample_sums,
+    coalition_member_mse,
+    effective_mean_params,
 )
 from .model import (
     Coalition,
@@ -32,6 +36,7 @@ from .model import (
     Number,
     Uniform,
     ValidationError,
+    check_row_sum,
     scheme_name,
 )
 
@@ -44,29 +49,9 @@ class FineWeights:
     row: Mapping[int, Number]
 
     def __post_init__(self) -> None:
-        total = sum(self.row.values())
-        if abs(total - 1) > 1e-12:
-            raise ValidationError(f"fine weight row sums to {total!r}, expected 1")
+        check_row_sum(self.row, "fine weight row")
         if self.player not in self.row:
             raise ValidationError("fine weight row is missing its own player")
-
-
-def effective_mean_params(config: GameConfig) -> tuple[Number, Number, bool]:
-    """(mu, bias, is_approximation) for the weight formulas.
-
-    Mean estimation passes through; linear regression substitutes
-    mu_e' = d*mu_e and bias = sigma_bias_sq (valid when n_i >> d).
-    """
-    if config.linreg is None:
-        return config.mu_e, config.sigma_sq, False
-    return config.mu_e * config.linreg.d, config.linreg.sigma_bias_sq, True
-
-
-def _coalition_parts(j: int, coalition: Coalition, config: GameConfig) -> tuple[int, int, int]:
-    ns = config.players
-    total = sum(ns[i] for i in coalition)
-    b = sum(ns[i] * ns[i] for i in coalition if i != j) + (total - ns[j]) ** 2
-    return ns[j], total, b
 
 
 def optimal_w(j: int, coalition: Coalition, config: GameConfig) -> Number:
@@ -80,20 +65,15 @@ def optimal_w(j: int, coalition: Coalition, config: GameConfig) -> Number:
     if len(coalition) == 1:
         return 1
     mu, bias, _ = effective_mean_params(config)
-    n_j, total, b = _coalition_parts(j, coalition, config)
-    num = bias * b * n_j
+    n_j = config.players[j]
+    total, square = _sample_sums(coalition.members, config.players)
+    num = bias * _bias_integer(n_j, total, square) * n_j
     return num / (mu * total * (total - n_j) + num)
 
 
 def optimal_coarse_mse(j: int, coalition: Coalition, config: GameConfig) -> Number:
     """Expected MSE of player j at the optimal coarse weight (closed form)."""
-    _check_member(j, coalition)
-    _check_player(j, config)
-    if len(coalition) == 1:
-        return mse_local(j, config)
-    mu, bias, _ = effective_mean_params(config)
-    n_j, total, b = _coalition_parts(j, coalition, config)
-    return _coarse_optimal_parts(n_j, total, b, mu, bias)
+    return coalition_member_mse(j, coalition, CoarseOptimal(), config)
 
 
 def optimal_v(j: int, coalition: Coalition, config: GameConfig) -> FineWeights:
@@ -106,27 +86,13 @@ def optimal_v(j: int, coalition: Coalition, config: GameConfig) -> FineWeights:
     _check_player(j, config)
     if len(coalition) == 1:
         return FineWeights(player=j, row={j: 1})
-    mu, bias, _ = effective_mean_params(config)
-    ns = config.players
-    v_of = {i: bias + mu / ns[i] for i in coalition}
-    inv_sum = sum(1 / v_of[i] for i in coalition if i != j)
-    den = 1 + v_of[j] * inv_sum
-    row: dict[int, Number] = {j: (1 + bias * inv_sum) / den}
-    for k in coalition:
-        if k != j:
-            row[k] = (v_of[j] - bias) / (v_of[k] * den)
-    return FineWeights(player=j, row=row)
+    _, bias, v_of, inv = _optimal_fine_terms(coalition.members, config)
+    return FineWeights(player=j, row=_optimal_row(j, coalition.members, v_of, inv, bias))
 
 
 def optimal_fine_mse(j: int, coalition: Coalition, config: GameConfig) -> Number:
     """Expected MSE of player j at its optimal fine-grained row."""
-    if len(coalition) == 1:
-        _check_member(j, coalition)
-        return mse_local(j, config)
-    mu, bias, _ = effective_mean_params(config)
-    row = optimal_v(j, coalition, config).row
-    counts = {i: config.players[i] for i in coalition}
-    return _fine_mean_mse(counts, j, row, mu, bias)
+    return coalition_member_mse(j, coalition, FineOptimal(), config)
 
 
 def coarse_row(j: int, coalition: Coalition, w: Number, config: GameConfig) -> dict[int, Number]:
@@ -165,7 +131,7 @@ def explicit_row(
         if j not in scheme.rows:
             raise ValidationError(f"fine scheme has no row for player {j}")
         row = dict(scheme.rows[j])
-        _check_row(row, coalition)
+        _check_row(row, coalition.members)
         return row
     if isinstance(scheme, FineOptimal):
         return dict(optimal_v(j, coalition, config).row)

@@ -233,6 +233,26 @@ def test_invalid_config_value_exit_1(capsys):
     assert code == 1 and "mu_e" in err
 
 
+@pytest.mark.parametrize("d", [2.5, "2", True, None])
+def test_non_integral_linreg_d_exit_1(tmp_path, capsys, d):
+    linreg = {"sigma_bias_sq": 1} if d is None else {"d": d, "sigma_bias_sq": 1}
+    doc = {"players": [30, 40], "mu_e": 10, "sigma_sq": 1, "linreg": linreg}
+    path = tmp_path / "linreg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "errors", "--config", str(path), "--scheme", "uniform")
+    assert code == 1 and "linreg.d" in err and out == ""
+
+
+@pytest.mark.parametrize("field", ["n_s", "n_l", "S", "L"])
+def test_non_integral_two_size_field_exit_1(tmp_path, capsys, field):
+    two_size = {"n_s": 11, "n_l": 106, "S": 70, "L": 7}
+    two_size[field] += 0.5
+    path = tmp_path / "two_size.json"
+    path.write_text(json.dumps({"mu_e": 100, "sigma_sq": 1, "two_size": two_size}))
+    code, out, err = run_cli(capsys, "construct", "--uniform", "--config", str(path))
+    assert code == 1 and f"two_size.{field}" in err and out == ""
+
+
 def test_partition_grammar():
     p = parse_partition("{a,c}|{b}", 3)
     assert [c.members for c in p.coalitions] == [(0, 2), (1,)]

@@ -172,6 +172,8 @@ def test_fine_rejects_malformed_rows():
         mse_fine(0, c, {0: 0.6, 1: 0.5}, config)
     with pytest.raises(ValidationError, match="do not match"):
         mse_fine(0, c, {0: 1.0}, config)
+    with pytest.raises(ValidationError, match="sums to nan"):
+        mse_fine(0, c, {0: float("nan"), 1: 0.5}, config)
 
 
 # --- linear regression -------------------------------------------------------------

@@ -38,11 +38,24 @@ def test_validate_rejects_empty_population():
         (GameConfig((6,), 10, 1, LinRegSpec(5, 1)), "n must exceed d\\+1"),
         (GameConfig((8,), 10, 1, LinRegSpec(0, 1)), "linreg.d"),
         (GameConfig((8,), 10, 1, LinRegSpec(2, -1)), "sigma_bias_sq"),
+        (GameConfig((5, 5), float("nan"), 1), "mu_e"),
+        (GameConfig((5, 5), float("inf"), 1), "mu_e"),
+        (GameConfig((5, 5), 10, float("nan")), "sigma_sq"),
+        (GameConfig((5, 5), 10, float("inf")), "sigma_sq"),
+        (GameConfig((8,), 10, 1, LinRegSpec(2, float("nan"))), "sigma_bias_sq"),
+        (GameConfig((8,), 10, 1, LinRegSpec(2, float("inf"))), "sigma_bias_sq"),
+        (GameConfig((5, True), 10, 1), "sample count True"),
+        (GameConfig((8,), 10, 1, LinRegSpec(True, 1)), "linreg.d"),
+        (GameConfig((5,), "10", 1), "real number"),
     ],
 )
 def test_validate_rejects_bad_fields(config, fragment):
     with pytest.raises(ValidationError, match=fragment):
         validate(config)
+
+
+def test_validate_accepts_exact_parameters():
+    validate(exact_config(GameConfig((8, 9), 10.5, 0.25, LinRegSpec(2, 1.5))))
 
 
 def test_coalition_sorts_and_dedups():
@@ -82,6 +95,8 @@ def test_scheme_weight_validation():
         Coarse({0: 1.5})
     with pytest.raises(ValidationError):
         Fine({0: {0: 0.5, 1: 0.4}})
+    with pytest.raises(ValidationError, match="sums to nan"):
+        Fine({0: {0: float("nan"), 1: 0.5}})
     Fine({0: {0: 0.5, 1: 0.5}})
 
 

@@ -8,12 +8,14 @@ from fedgame import (
     CoarseOptimal,
     Fine,
     GameConfig,
+    LinRegSpec,
     Local,
     Partition,
     TwoSizeGame,
     Uniform,
     ValidationError,
     CapExceededError,
+    coalition_errors,
     coalition_member_mse,
     find_stable_partitions,
     is_core_stable,
@@ -23,6 +25,7 @@ from fedgame import (
     two_size_individually_stable,
     two_size_weak_blocking_search,
 )
+from fedgame import stability
 from fedgame.stability import Deviation, PreferenceOrder
 import oracles
 
@@ -114,6 +117,36 @@ def test_player_cap_enforced():
         is_core_stable(Partition.grand(21), Uniform(), config)
     with pytest.raises(CapExceededError):
         find_stable_partitions(GameConfig((5,) * 14, 10, 1), Uniform(), "core")
+
+
+def test_non_finite_config_refused_before_any_verdict():
+    config = GameConfig((5, 5, 25), 10.0, float("nan"))
+    singletons = Partition.singletons(3)
+    for verdict in (is_core_stable, is_strict_core_stable, is_individually_stable):
+        with pytest.raises(ValidationError, match="sigma_sq"):
+            verdict(singletons, Uniform(), config)
+    for notion in ("core", "strict", "individual"):
+        with pytest.raises(ValidationError, match="sigma_sq"):
+            find_stable_partitions(config, Uniform(), notion)
+    with pytest.raises(ValidationError, match="sample count True"):
+        is_core_stable(singletons, Uniform(), GameConfig((5, True, 25), 10, 1))
+
+
+def test_single_verdict_computes_only_the_masks_it_scans(monkeypatch):
+    # {a,b} blocks the singletons (n < mu_e/sigma_sq), so the scan stops at
+    # mask 3 and must not have built the whole 2^14 - 1 table.
+    m = 14
+    config = GameConfig((5,) * m, 10, 1)
+    computed = []
+
+    def counting(members, scheme, cfg):
+        computed.append(sum(1 << j for j in members))
+        return coalition_errors(members, scheme, cfg)
+
+    monkeypatch.setattr(stability, "coalition_errors", counting)
+    verdict = is_core_stable(Partition.singletons(m), Uniform(), config)
+    assert not verdict.stable and verdict.witness == Coalition((0, 1))
+    assert sorted(computed) == sorted([1 << j for j in range(m)] + [3])
 
 
 def test_unknown_notion_rejected():
@@ -240,6 +273,24 @@ def test_all_large_singletons_unblocked_above_threshold():
     config = GameConfig((106,) * 7, 100, 1)
     arrangement = [(0, 1)] * 7
     assert two_size_blocking_search(game, arrangement, Uniform(), config) is None
+
+
+def test_two_size_searches_refuse_a_config_that_is_not_their_game():
+    arrangement = [(70, 3), (0, 1), (0, 1), (0, 1), (0, 1)]
+    matching = COUNTEREX_CONFIG
+    assert two_size_blocking_search(COUNTEREX_GAME, arrangement, Uniform(), matching) == (68, 4)
+    with_linreg = GameConfig(matching.players, 100, 1, LinRegSpec(2, 1))
+    unrelated = GameConfig((3, 4), 100, 1)
+    searches = (
+        two_size_blocking_search,
+        two_size_weak_blocking_search,
+        two_size_individually_stable,
+    )
+    for search in searches:
+        with pytest.raises(ValidationError, match="linreg"):
+            search(COUNTEREX_GAME, arrangement, Uniform(), with_linreg)
+        with pytest.raises(ValidationError, match="two-size game"):
+            search(COUNTEREX_GAME, arrangement, Uniform(), unrelated)
 
 
 def test_two_size_arrangement_validation():

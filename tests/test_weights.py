@@ -7,6 +7,7 @@ from scipy import optimize
 
 from fedgame import (
     Coalition,
+    FineWeights,
     GameConfig,
     LinRegSpec,
     ValidationError,
@@ -298,3 +299,8 @@ def test_membership_checked():
         optimal_w(3, Coalition((0, 1)), T4_CONFIG)
     with pytest.raises(ValidationError):
         optimal_v(2, Coalition((0, 1)), T4_CONFIG)
+
+
+def test_fine_weights_reject_nan_row():
+    with pytest.raises(ValidationError, match="sums to nan"):
+        FineWeights(player=0, row={0: float("nan"), 1: 0.5})

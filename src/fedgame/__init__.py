@@ -23,7 +23,6 @@ from .errors import (
     coalition_member_mse,
     mse_coarse,
     mse_fine,
-    mse_linreg,
     mse_local,
     mse_uniform,
     player_errors,

@@ -425,6 +425,17 @@ def cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
+def _construct_uniform(
+    game: TwoSizeGame, config: GameConfig, prefs: stability.PreferenceOrder
+) -> tuple[constructive.ProfilePartition, stability.TwoSizeDeviation | None, tuple[int, int] | None]:
+    """The constructed uniform-federation arrangement, its first individual
+    deviation and its first blocking profile (None where there is none)."""
+    built = constructive.construct_individually_stable_uniform(game, config, prefs)
+    deviation = stability.two_size_individually_stable(game, built.profiles, Uniform(), config, prefs)
+    blocked = stability.two_size_blocking_search(game, built.profiles, Uniform(), config, prefs)
+    return built, deviation, blocked
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     inputs = Inputs(args)
     game = inputs.two_size
@@ -442,13 +453,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     config = constructive.two_size_game_config(game, inputs.mu_e, inputs.sigma_sq)
     prefs = stability.PreferenceOrder(exact=args.exact)
     if args.uniform:
-        built = constructive.construct_individually_stable_uniform(game, config, prefs)
-        deviation = stability.two_size_individually_stable(
-            game, built.profiles, Uniform(), config, prefs
-        )
-        blocked = stability.two_size_blocking_search(
-            game, built.profiles, Uniform(), config, prefs
-        )
+        built, deviation, blocked = _construct_uniform(game, config, prefs)
         indiv = "yes" if deviation is None else f"no ({deviation.role} leaves)"
         core = "yes" if blocked is None else f"no (blocked by pi({blocked[0]},{blocked[1]}))"
         _print(f"{format_profiles(built.profiles)}; individually stable: {indiv}; core stable: {core}")
@@ -486,7 +491,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     mc = inputs.mc
     plan = montecarlo.TrialPlan(
-        trials=int(mc.get("trials", trials)), seed=int(mc.get("seed", seed))
+        trials=_strict_int(mc.get("trials", trials), "mc.trials"),
+        seed=_strict_int(mc.get("seed", seed), "mc.seed"),
     )
     dist = montecarlo.DistributionSpec(
         theta_family=mc.get("theta_family", "gaussian"),
@@ -583,8 +589,6 @@ def _emit_reference_table(spec: dict, fmt: str) -> None:
 
 def _emit_counterexample(fmt: str) -> None:
     game = TwoSizeGame(n_s=11, n_l=106, S=70, L=7)
-    config = constructive.two_size_game_config(game, 100, 1)
-    prefs = stability.PreferenceOrder()
 
     def err(s: int, l: int) -> tuple:
         return errors.two_size_errors(game, s, l, 100, 1, Uniform())
@@ -604,15 +608,11 @@ def _emit_counterexample(fmt: str) -> None:
     )
     rows = [[name, fmt_num(v)] for name, v in values]
     _print(render_table(["quantity", "value"], rows, fmt))
-    built = constructive.construct_individually_stable_uniform(game, config, prefs)
-    deviation = stability.two_size_individually_stable(
-        game, built.profiles, Uniform(), config, prefs
-    )
-    blocked = stability.two_size_blocking_search(game, built.profiles, Uniform(), config, prefs)
-    indiv = "yes" if deviation is None else "no"
+    config = constructive.two_size_game_config(game, 100, 1)
+    built, deviation, blocked = _construct_uniform(game, config, stability.PreferenceOrder())
     core = "yes" if blocked is None else f"no (blocked by pi({blocked[0]},{blocked[1]}))"
     _print(f"constructed: {format_profiles(built.profiles)}")
-    _print(f"individually stable: {indiv}")
+    _print(f"individually stable: {'yes' if deviation is None else 'no'}")
     _print(f"core stable: {core}")
 
 

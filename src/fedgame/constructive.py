@@ -15,7 +15,6 @@ from typing import Optional
 
 from .errors import two_size_errors
 from .model import (
-    Coalition,
     CoarseOptimal,
     FederationScheme,
     GameConfig,
@@ -24,6 +23,7 @@ from .model import (
     TwoSizeGame,
     Uniform,
     ValidationError,
+    check_profiles,
     scheme_name,
 )
 from .stability import PreferenceOrder, _exact_params
@@ -58,18 +58,8 @@ class ProfilePartition:
     profiles: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        profiles = tuple((int(s), int(l)) for s, l in self.profiles)
-        object.__setattr__(self, "profiles", profiles)
-        smalls = sum(s for s, _ in profiles)
-        larges = sum(l for _, l in profiles)
-        if smalls != self.game.S or larges != self.game.L:
-            raise ValidationError(
-                f"profiles cover ({smalls},{larges}) but game has "
-                f"({self.game.S},{self.game.L})"
-            )
-        for s, l in profiles:
-            if s < 0 or l < 0 or s + l < 1:
-                raise ValidationError(f"malformed coalition profile ({s},{l})")
+        check_profiles(self.game, self.profiles)
+        object.__setattr__(self, "profiles", tuple(map(tuple, self.profiles)))
 
     def to_partition(self) -> Partition:
         """Labeled expansion: smalls are players 0..S-1, larges S..S+L-1."""

@@ -337,19 +337,6 @@ def mse_fine(
     return coalition_member_mse(j, coalition, Fine({j: row}), config)
 
 
-def mse_linreg(
-    j: int, coalition: Coalition, scheme: FederationScheme, config: GameConfig
-) -> Number:
-    """Linear-regression MSE for a fully weighted scheme (no optimal variants)."""
-    if config.linreg is None:
-        raise ValidationError("mse_linreg: config has no linreg spec")
-    if isinstance(scheme, (CoarseOptimal, FineOptimal)):
-        raise ValidationError(
-            f"mse_linreg needs explicit weights, got {scheme_name(scheme)}"
-        )
-    return coalition_member_mse(j, coalition, scheme, config)
-
-
 def player_errors(
     partition: Partition, scheme: FederationScheme, config: GameConfig
 ) -> ErrorReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -205,12 +205,31 @@ class TwoSizeGame:
     L: int
 
     def __post_init__(self) -> None:
+        for name in ("n_s", "n_l", "S", "L"):
+            if not _is_count(getattr(self, name)):
+                raise ValidationError(f"two-size game: {name} must be an integer")
         if self.n_s < 1 or self.n_l < 1:
             raise ValidationError("two-size game: sample counts must be positive")
         if not self.n_s < self.n_l:
             raise ValidationError(f"two-size game: need n_s < n_l, got {self.n_s} >= {self.n_l}")
         if self.S < 0 or self.L < 0 or self.S + self.L < 1:
             raise ValidationError("two-size game: need S, L >= 0 and S + L >= 1")
+
+
+def check_profiles(game: TwoSizeGame, profiles: Sequence[tuple[int, int]]) -> None:
+    """A two-size arrangement: non-empty (small, large) pairs of integer
+    counts, none negative, whose totals are exactly the game's (S, L)."""
+    bad = [
+        p for p in profiles
+        if len(p) != 2 or not all(_is_count(c) and c >= 0 for c in p) or sum(p) < 1
+    ]
+    totals = (sum(s for s, _ in profiles), sum(l for _, l in profiles)) if not bad else None
+    if totals != (game.S, game.L):
+        got = f"profile {bad[0]!r}" if bad else f"totals {totals}"
+        raise ValidationError(
+            f"malformed arrangement ({got}): need non-empty pairs of non-negative "
+            f"integer counts whose totals cover the game's ({game.S},{game.L})"
+        )
 
 
 # --- federation schemes -----------------------------------------------------

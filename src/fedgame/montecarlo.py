@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import errors
 from .model import (
     Coalition,
     Coarse,
@@ -29,10 +30,12 @@ from .model import (
     GameConfig,
     LinRegSpec,
     Local,
+    Number,
     Uniform,
     ValidationError,
     scheme_name,
 )
+from .weights import explicit_row
 
 BATCH_TRIALS = 4096
 GAMMA_SHAPE = 2.0  # epsilon_rule="gamma": shape 2, scale mu_e/2, mean mu_e
@@ -95,34 +98,13 @@ def _batches(trials: int) -> list[tuple[int, int]]:
 
 def _combination_row(
     j: int, coalition: Coalition, scheme: FederationScheme, config: GameConfig
-) -> dict[int, float]:
+) -> dict[int, Number]:
     """Explicit weights only; optimal variants must be resolved by the caller."""
-    ns = config.players
-    if isinstance(scheme, Local):
-        return {j: 1.0}
-    if isinstance(scheme, Uniform):
-        total = sum(ns[i] for i in coalition)
-        return {i: ns[i] / total for i in coalition}
-    if isinstance(scheme, Coarse):
-        if j not in scheme.weights:
-            raise ValidationError(f"coarse scheme has no weight for player {j}")
-        w = float(scheme.weights[j])
-        if len(coalition) == 1:
-            return {j: 1.0}
-        total = sum(ns[i] for i in coalition)
-        row = {i: (1 - w) * ns[i] / total for i in coalition if i != j}
-        row[j] = w + (1 - w) * ns[j] / total
-        return row
-    if isinstance(scheme, Fine):
-        if j not in scheme.rows:
-            raise ValidationError(f"fine scheme has no row for player {j}")
-        row = {i: float(v) for i, v in scheme.rows[j].items()}
-        if set(row) != set(coalition.members):
-            raise ValidationError("fine row does not match coalition membership")
-        return row
-    raise ValidationError(
-        f"simulation needs explicit weights; resolve {scheme_name(scheme)} first"
-    )
+    if isinstance(scheme, (CoarseOptimal, FineOptimal)):
+        raise ValidationError(
+            f"simulation needs explicit weights; resolve {scheme_name(scheme)} first"
+        )
+    return explicit_row(j, coalition, scheme, config)
 
 
 def _draw_theta(
@@ -329,8 +311,6 @@ class BatteryCase:
 
 def agreement_battery() -> list[BatteryCase]:
     """Twelve configurations spanning all four schemes and both tasks."""
-    from . import errors, weights
-
     cases: list[BatteryCase] = []
 
     def mean_case(
@@ -347,7 +327,7 @@ def agreement_battery() -> list[BatteryCase]:
         coal = Coalition(tuple(coalition))
         resolved = scheme
         if not isinstance(scheme, (Local, Uniform, Coarse, Fine)):
-            row = weights.explicit_row(player, coal, scheme, config)
+            row = explicit_row(player, coal, scheme, config)
             resolved = Fine({player: row})
         expected = errors.coalition_member_mse(player, coal, resolved, config)
         cases.append(

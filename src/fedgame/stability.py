@@ -21,7 +21,6 @@ from .errors import coalition_errors, coalition_member_mse, two_size_errors  # n
 from .model import (
     CapExceededError,
     Coalition,
-    CoarseOptimal,
     FederationScheme,
     Fine,
     GameConfig,
@@ -30,12 +29,11 @@ from .model import (
     Number,
     Partition,
     TwoSizeGame,
-    Uniform,
     ValidationError,
+    check_profiles,
     enumerate_partitions,
     exact_config,
     exact_scheme,
-    scheme_name,
     validate,
 )
 
@@ -288,22 +286,68 @@ def _check_two_size(
             f"config players are not the two-size game's {game.S} x {game.n_s} "
             f"then {game.L} x {game.n_l} samples"
         )
-    smalls = sum(s for s, _ in arrangement)
-    larges = sum(l for _, l in arrangement)
-    if smalls != game.S or larges != game.L:
-        raise ValidationError(
-            f"arrangement totals ({smalls},{larges}) do not match game "
-            f"({game.S},{game.L})"
-        )
-    for s, l in arrangement:
-        if s < 0 or l < 0 or s + l < 1:
-            raise ValidationError(f"malformed coalition profile ({s},{l})")
+    check_profiles(game, arrangement)
 
 
 def _exact_params(config: GameConfig, prefs: PreferenceOrder) -> tuple[Number, Number]:
     if prefs.exact:
         config = exact_config(config)
     return config.mu_e, config.sigma_sq
+
+
+def _two_size_blocking(
+    game: TwoSizeGame,
+    arrangement: Sequence[tuple[int, int]],
+    scheme: FederationScheme,
+    config: GameConfig,
+    prefs: PreferenceOrder,
+    strict_notion: bool,
+) -> Optional[tuple[int, int]]:
+    """First coalition profile (s, l) that blocks the arrangement, if any.
+
+    strict_notion=False: every participant strictly gains (core blocking).
+    strict_notion=True: every participant weakly gains, at least one strictly.
+    Players are symmetric within a size class, so a profile blocks when
+    enough willing smalls and larges exist to populate it.  Candidates are
+    scanned with s descending from S and l ascending from 0.
+    """
+    _check_two_size(game, arrangement, config)
+    mu_e, sigma_sq = _exact_params(config, prefs)
+    gains = prefs.weakly_less if strict_notion else prefs.strictly_less
+    # per role (0 small, 1 large): (count, current error) of each block with it
+    held: list[list[tuple[int, Number]]] = [[], []]
+    for profile in arrangement:
+        current = two_size_errors(game, *profile, mu_e, sigma_sq, scheme)
+        for role in (0, 1):
+            if profile[role]:
+                held[role].append((profile[role], current[role]))
+
+    def strict_gainers(role: int, need: int, new: Number) -> Optional[int]:
+        """How many players of the role strictly gain from ``new``, or None
+        when fewer than ``need`` of them gain at all."""
+        willing = strict = 0
+        for count, cur in held[role]:
+            if gains(new, cur):
+                willing += count
+                if not strict_notion or prefs.strictly_less(new, cur):
+                    strict += count
+        return strict if willing >= need else None
+
+    for s_cand in range(game.S, -1, -1):
+        for l_cand in range(0, game.L + 1):
+            if s_cand + l_cand == 0:
+                continue
+            new = two_size_errors(game, s_cand, l_cand, mu_e, sigma_sq, scheme)
+            strict = 0
+            for role, need in ((0, s_cand), (1, l_cand)):
+                gainers = strict_gainers(role, need, new[role]) if need else 0
+                if gainers is None:
+                    break
+                strict += gainers
+            else:
+                if strict:
+                    return (s_cand, l_cand)
+    return None
 
 
 def two_size_blocking_search(
@@ -313,42 +357,8 @@ def two_size_blocking_search(
     config: GameConfig,
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> Optional[tuple[int, int]]:
-    """First coalition profile where every participant strictly gains.
-
-    Players are symmetric within a size class, so candidate blocking
-    coalitions are profiles (s, l); a profile blocks when enough currently
-    worse-off smalls and larges exist to populate it.  Candidates are
-    scanned with s descending from S and l ascending from 0.
-    """
-    _check_two_size(game, arrangement, config)
-    mu_e, sigma_sq = _exact_params(config, prefs)
-    blocks = [
-        (profile, two_size_errors(game, profile[0], profile[1], mu_e, sigma_sq, scheme))
-        for profile in arrangement
-    ]
-    for s_cand in range(game.S, -1, -1):
-        for l_cand in range(0, game.L + 1):
-            if s_cand + l_cand == 0:
-                continue
-            err_s, err_l = two_size_errors(game, s_cand, l_cand, mu_e, sigma_sq, scheme)
-            if s_cand:
-                willing_s = sum(
-                    s_k
-                    for (s_k, _), (cur_s, _) in blocks
-                    if s_k and prefs.strictly_less(err_s, cur_s)
-                )
-                if willing_s < s_cand:
-                    continue
-            if l_cand:
-                willing_l = sum(
-                    l_k
-                    for (_, l_k), (_, cur_l) in blocks
-                    if l_k and prefs.strictly_less(err_l, cur_l)
-                )
-                if willing_l < l_cand:
-                    continue
-            return (s_cand, l_cand)
-    return None
+    """First coalition profile where every participant strictly gains."""
+    return _two_size_blocking(game, arrangement, scheme, config, prefs, strict_notion=False)
 
 
 def two_size_weak_blocking_search(
@@ -358,44 +368,8 @@ def two_size_weak_blocking_search(
     config: GameConfig,
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> Optional[tuple[int, int]]:
-    """First profile all participants weakly prefer, at least one strictly.
-
-    The strict-core analogue of ``two_size_blocking_search``: feasible when
-    enough weakly willing players exist and some strictly willing player of
-    a participating role can be included.
-    """
-    _check_two_size(game, arrangement, config)
-    mu_e, sigma_sq = _exact_params(config, prefs)
-    blocks = [
-        (profile, two_size_errors(game, profile[0], profile[1], mu_e, sigma_sq, scheme))
-        for profile in arrangement
-    ]
-    for s_cand in range(game.S, -1, -1):
-        for l_cand in range(0, game.L + 1):
-            if s_cand + l_cand == 0:
-                continue
-            err_s, err_l = two_size_errors(game, s_cand, l_cand, mu_e, sigma_sq, scheme)
-            weak_s = strict_s = 0
-            if s_cand:
-                for (s_k, _), (cur_s, _) in blocks:
-                    if s_k and prefs.weakly_less(err_s, cur_s):
-                        weak_s += s_k
-                        if prefs.strictly_less(err_s, cur_s):
-                            strict_s += s_k
-                if weak_s < s_cand:
-                    continue
-            weak_l = strict_l = 0
-            if l_cand:
-                for (_, l_k), (_, cur_l) in blocks:
-                    if l_k and prefs.weakly_less(err_l, cur_l):
-                        weak_l += l_k
-                        if prefs.strictly_less(err_l, cur_l):
-                            strict_l += l_k
-                if weak_l < l_cand:
-                    continue
-            if (s_cand and strict_s) or (l_cand and strict_l):
-                return (s_cand, l_cand)
-    return None
+    """First profile all participants weakly prefer, at least one strictly."""
+    return _two_size_blocking(game, arrangement, scheme, config, prefs, strict_notion=True)
 
 
 def two_size_individually_stable(

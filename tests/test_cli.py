@@ -253,6 +253,18 @@ def test_non_integral_two_size_field_exit_1(tmp_path, capsys, field):
     assert code == 1 and f"two_size.{field}" in err and out == ""
 
 
+def test_non_integral_mc_fields_exit_1(tmp_path, capsys):
+    doc = {"players": [5, 5], "mu_e": 10, "sigma_sq": 1, "mc": {"trials": 2000.7, "seed": 3.9}}
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--scheme", "uniform")
+    assert code == 1 and "mc.trials" in err and out == ""
+    doc["mc"] = {"trials": 200, "seed": 3.9}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--scheme", "uniform")
+    assert code == 1 and "mc.seed" in err and out == ""
+
+
 def test_partition_grammar():
     p = parse_partition("{a,c}|{b}", 3)
     assert [c.members for c in p.coalitions] == [(0, 2), (1,)]

@@ -227,6 +227,8 @@ def test_profile_partition_expansion_and_validation():
     assert labeled.coalition_of(76).members == (76,)
     with pytest.raises(ValidationError, match="cover"):
         ProfilePartition(game, ((70, 3),))
+    with pytest.raises(ValidationError, match="malformed"):
+        ProfilePartition(game, ((70.9, 3),) + ((0, 1),) * 4)
 
 
 def test_counterexample_construction_not_core_stable():

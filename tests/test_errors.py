@@ -14,9 +14,9 @@ from fedgame import (
     TwoSizeGame,
     Uniform,
     ValidationError,
+    coalition_member_mse,
     mse_coarse,
     mse_fine,
-    mse_linreg,
     mse_local,
     mse_uniform,
     player_errors,
@@ -181,13 +181,13 @@ def test_fine_rejects_malformed_rows():
 
 def test_linreg_singleton_reduces_to_local():
     config = GameConfig((30,), 10, 1, LinRegSpec(3, 1))
-    got = mse_linreg(0, Coalition((0,)), Uniform(), config)
+    got = coalition_member_mse(0, Coalition((0,)), Uniform(), config)
     assert got == mse_local(0, config)
 
 
 def test_linreg_uniform_two_players():
     config = GameConfig((30, 30), 10, 1, LinRegSpec(2, 1))
-    got = mse_linreg(0, Coalition((0, 1)), Uniform(), config)
+    got = coalition_member_mse(0, Coalition((0, 1)), Uniform(), config)
     want = 10 * (2 * 900 / 3600) * (2 / 27) + (900 + 900) / 3600
     assert rel_close(got, want)
     assert round(got, 4) == 0.8704
@@ -196,22 +196,14 @@ def test_linreg_uniform_two_players():
 def test_linreg_fine_indicator_equals_local():
     config = GameConfig((30, 40), 10, 1, LinRegSpec(2, 1))
     scheme = Fine({0: {0: 1, 1: 0}})
-    got = mse_linreg(0, Coalition((0, 1)), scheme, config)
+    got = coalition_member_mse(0, Coalition((0, 1)), scheme, config)
     assert got == mse_local(0, config)
-
-
-def test_linreg_rejects_optimal_variants_and_missing_spec():
-    config = GameConfig((30, 40), 10, 1, LinRegSpec(2, 1))
-    with pytest.raises(ValidationError, match="explicit"):
-        mse_linreg(0, Coalition((0, 1)), CoarseOptimal(), config)
-    with pytest.raises(ValidationError, match="no linreg"):
-        mse_linreg(0, Coalition((0, 1)), Uniform(), cfg(30, 40))
 
 
 def test_linreg_rejects_small_samples():
     config = GameConfig((4, 40), 10, 1, LinRegSpec(3, 1))
     with pytest.raises(ValidationError, match="d\\+1"):
-        mse_linreg(0, Coalition((0, 1)), Uniform(), config)
+        coalition_member_mse(0, Coalition((0, 1)), Uniform(), config)
 
 
 # --- player_errors ------------------------------------------------------------------

@@ -88,6 +88,10 @@ def test_two_size_game_invariants():
         TwoSizeGame(25, 5, 2, 1)
     with pytest.raises(ValidationError):
         TwoSizeGame(5, 25, 0, 0)
+    with pytest.raises(ValidationError, match="n_s"):
+        TwoSizeGame(11.5, 106, 70, 7)
+    with pytest.raises(ValidationError, match="n_s"):
+        TwoSizeGame(True, 106, 70, 7)
 
 
 def test_scheme_weight_validation():

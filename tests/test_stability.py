@@ -300,6 +300,19 @@ def test_two_size_arrangement_validation():
         two_size_blocking_search(
             COUNTEREX_GAME, [(70, 7), (0, 0)], Uniform(), COUNTEREX_CONFIG
         )
+    # counts must be integers: fractional parts that sum to the totals, or a
+    # bool standing in for 1, are refused by every search
+    fractional = ((68.5, 3), (1.5, 0)) + ((0, 1),) * 4
+    with_bool = ((69, 3), (True, 0)) + ((0, 1),) * 4
+    searches = (
+        two_size_blocking_search,
+        two_size_weak_blocking_search,
+        two_size_individually_stable,
+    )
+    for search in searches:
+        for arrangement in (fractional, with_bool):
+            with pytest.raises(ValidationError, match="malformed"):
+                search(COUNTEREX_GAME, arrangement, Uniform(), COUNTEREX_CONFIG)
 
 
 def test_two_size_individual_stability_matches_labeled_check():

@@ -5,7 +5,12 @@ federation (mean estimation and linear regression), closed-form optimal
 personalization weights, hedonic stability verdicts with witnesses,
 constructive stable arrangements for two-size populations, and a seeded
 Monte Carlo oracle.
+
+The closed forms need only the standard library.  ``fedgame.montecarlo``
+needs numpy, so it and its exports are imported on first access.
 """
+
+import importlib
 
 from .constructive import (
     Prescription,
@@ -49,14 +54,6 @@ from .model import (
     exact_scheme,
     validate,
 )
-from .montecarlo import (
-    DistributionSpec,
-    McEstimate,
-    TrialPlan,
-    agreement_battery,
-    empirical_mse_linreg,
-    empirical_mse_mean,
-)
 from .stability import (
     Deviation,
     PreferenceOrder,
@@ -80,3 +77,24 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+_MONTECARLO_EXPORTS = frozenset({
+    "DistributionSpec",
+    "McEstimate",
+    "TrialPlan",
+    "agreement_battery",
+    "empirical_mse_linreg",
+    "empirical_mse_mean",
+})
+
+
+def __getattr__(name: str):
+    if name == "montecarlo" or name in _MONTECARLO_EXPORTS:
+        # importlib, not ``from . import``: that form probes this hook again
+        montecarlo = importlib.import_module(".montecarlo", __name__)
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MONTECARLO_EXPORTS | {"montecarlo"})

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import constructive, errors, montecarlo, stability, weights
+from . import constructive, errors, stability, weights
 from .model import (
     CapExceededError,
     Coalition,
@@ -468,6 +468,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import montecarlo  # numpy loads here, not at start-up
+
     trials = args.trials
     seed = args.seed
     if args.battery:

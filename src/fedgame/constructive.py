@@ -24,6 +24,7 @@ from .model import (
     Uniform,
     ValidationError,
     check_profiles,
+    check_two_size_config,
     scheme_name,
 )
 from .stability import PreferenceOrder, _exact_params
@@ -129,6 +130,7 @@ def construct_individually_stable_uniform(
     prefer membership over being alone, and falls back to smalls-only when
     the smalls strictly prefer that.  Remaining larges stay single.
     """
+    check_two_size_config(game, config)
     mu_e, sigma_sq = _exact_params(config, prefs)
     if not game.n_l * sigma_sq > mu_e:
         raise ValidationError(
@@ -166,6 +168,7 @@ def construct_strict_core_coarse(
     coalition the split {pi(S,0), pi(0,L)} is strictly core stable;
     otherwise (including the indifference case) the grand coalition is.
     """
+    check_two_size_config(game, config)
     if game.S < 1 or game.L < 1:
         raise ValidationError("strict-core construction requires S >= 1 and L >= 1")
     mu_e, sigma_sq = _exact_params(config, prefs)
@@ -182,6 +185,7 @@ def regime_predicates(
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> RegimeClassification:
     """Uniform-federation regime claims for a two-size population."""
+    check_two_size_config(game, config)
     mu_e, sigma_sq = _exact_params(config, prefs)
     small_t = game.n_s * sigma_sq
     large_t = game.n_l * sigma_sq

@@ -232,6 +232,21 @@ def check_profiles(game: TwoSizeGame, profiles: Sequence[tuple[int, int]]) -> No
         )
 
 
+def check_two_size_config(game: TwoSizeGame, config: GameConfig) -> None:
+    """A two-size game's config: valid, mean estimation (no linreg spec),
+    and players exactly S x n_s then L x n_l samples."""
+    validate(config)
+    if config.linreg is not None:
+        raise ValidationError(
+            "two-size games cover mean estimation only; config has a linreg spec"
+        )
+    if config.players != (game.n_s,) * game.S + (game.n_l,) * game.L:
+        raise ValidationError(
+            f"config players are not the two-size game's {game.S} x {game.n_s} "
+            f"then {game.L} x {game.n_l} samples"
+        )
+
+
 # --- federation schemes -----------------------------------------------------
 
 
@@ -253,6 +268,7 @@ class Coarse:
 
     def __post_init__(self) -> None:
         for j, w in self.weights.items():
+            _check_finite(f"coarse weight for player {j}", w)
             if not (0 <= w <= 1):
                 raise ValidationError(f"coarse weight for player {j} outside [0,1]: {w!r}")
 

@@ -30,7 +30,9 @@ from .model import (
     Partition,
     TwoSizeGame,
     ValidationError,
+    _check_finite,
     check_profiles,
+    check_two_size_config,
     enumerate_partitions,
     exact_config,
     exact_scheme,
@@ -53,6 +55,7 @@ class PreferenceOrder:
     exact: bool = False
 
     def __post_init__(self) -> None:
+        _check_finite("preference epsilon", self.epsilon)
         if self.epsilon < 0:
             raise ValidationError("preference epsilon must be non-negative")
 
@@ -271,24 +274,6 @@ class TwoSizeDeviation:
     target: tuple[int, int]  # profile after the move, including the mover
 
 
-def _check_two_size(
-    game: TwoSizeGame, arrangement: Sequence[tuple[int, int]], config: GameConfig
-) -> None:
-    """The config must be the game's own mean-estimation game, and the
-    arrangement must cover the game's players."""
-    validate(config)
-    if config.linreg is not None:
-        raise ValidationError(
-            "two-size searches cover mean estimation only; config has a linreg spec"
-        )
-    if config.players != (game.n_s,) * game.S + (game.n_l,) * game.L:
-        raise ValidationError(
-            f"config players are not the two-size game's {game.S} x {game.n_s} "
-            f"then {game.L} x {game.n_l} samples"
-        )
-    check_profiles(game, arrangement)
-
-
 def _exact_params(config: GameConfig, prefs: PreferenceOrder) -> tuple[Number, Number]:
     if prefs.exact:
         config = exact_config(config)
@@ -311,7 +296,8 @@ def _two_size_blocking(
     enough willing smalls and larges exist to populate it.  Candidates are
     scanned with s descending from S and l ascending from 0.
     """
-    _check_two_size(game, arrangement, config)
+    check_two_size_config(game, config)
+    check_profiles(game, arrangement)
     mu_e, sigma_sq = _exact_params(config, prefs)
     gains = prefs.weakly_less if strict_notion else prefs.strictly_less
     # per role (0 small, 1 large): (count, current error) of each block with it
@@ -385,7 +371,8 @@ def two_size_individually_stable(
     Valid for any player counts because members of a size class are
     interchangeable: a labeled deviation exists iff a profile deviation does.
     """
-    _check_two_size(game, arrangement, config)
+    check_two_size_config(game, config)
+    check_profiles(game, arrangement)
     mu_e, sigma_sq = _exact_params(config, prefs)
 
     def errs(s: int, l: int) -> tuple[Number | None, Number | None]:

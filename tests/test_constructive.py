@@ -4,6 +4,7 @@ from fedgame import (
     Coalition,
     CoarseOptimal,
     GameConfig,
+    LinRegSpec,
     Partition,
     TwoSizeGame,
     Uniform,
@@ -213,6 +214,28 @@ def test_regime_mixed_without_smalls_degenerates_to_singletons():
     config = two_size_game_config(game, 10, 1)
     got = regime_predicates(game, config)
     assert got.regime == REGIME_ALL_LARGE
+
+
+# --- config checks ---------------------------------------------------------------------
+
+
+def test_constructions_refuse_a_config_that_is_not_their_game():
+    game = TwoSizeGame(11, 106, 70, 7)
+    matching = two_size_game_config(game, 100, 1)
+    unrelated = GameConfig((3, 4), 100, 1)
+    with_linreg = GameConfig(matching.players, 100, 1, LinRegSpec(2, 1))
+    for build in (
+        construct_individually_stable_uniform,
+        construct_strict_core_coarse,
+        regime_predicates,
+    ):
+        build(game, matching)
+        with pytest.raises(ValidationError, match="two-size game"):
+            build(game, unrelated)
+        with pytest.raises(ValidationError, match="linreg"):
+            build(game, with_linreg)
+        with pytest.raises(ValidationError, match="sigma_sq"):
+            build(game, GameConfig(matching.players, 100, float("nan")))
 
 
 # --- profile partitions -----------------------------------------------------------------

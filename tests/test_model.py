@@ -97,6 +97,9 @@ def test_two_size_game_invariants():
 def test_scheme_weight_validation():
     with pytest.raises(ValidationError):
         Coarse({0: 1.5})
+    for bad in (True, False, "0.5"):
+        with pytest.raises(ValidationError, match="real number"):
+            Coarse({0: bad})
     with pytest.raises(ValidationError):
         Fine({0: {0: 0.5, 1: 0.4}})
     with pytest.raises(ValidationError, match="sums to nan"):

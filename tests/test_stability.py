@@ -253,6 +253,19 @@ def test_exact_and_float_modes_agree_on_random_rational_instances():
             assert exact_v.witness == float_v.witness
 
 
+# --- preference orders -----------------------------------------------------------
+
+
+def test_preference_order_refuses_a_bad_epsilon():
+    for bad in (float("nan"), float("inf"), -float("inf"), True, "1e-9", None):
+        with pytest.raises(ValidationError, match="epsilon"):
+            PreferenceOrder(epsilon=bad)
+    with pytest.raises(ValidationError, match="non-negative"):
+        PreferenceOrder(epsilon=-1e-9)
+    assert PreferenceOrder(epsilon=0).strictly_less(1.0, 2.0)
+    assert PreferenceOrder(epsilon=Fraction(1, 10**9)).strictly_less(1.0, 2.0)
+
+
 # --- two-size searches ------------------------------------------------------------
 
 

@@ -52,7 +52,6 @@ from .model import (
     enumerate_partitions,
     exact_config,
     exact_scheme,
-    validate,
 )
 from .stability import (
     Deviation,

@@ -2,10 +2,10 @@
 Monte Carlo verification and reproduction of the reference tables.
 
 All numeric logic lives in the library modules; this file only parses
-inputs, dispatches and renders.  Players are written as letters a..m, a
-partition as ``{a,b}|{c}``, and numbers render with 6 decimals
-(round-half-even).  Exit codes: 0 success, 1 validation/usage error,
-2 enumeration cap exceeded.
+inputs, dispatches and renders.  Players are written as letters a..m, then
+p13, p14, ... (``p<index>`` is read for every player), a partition as
+``{a,b}|{c}``, and numbers render with 6 decimals (round-half-even).  Exit
+codes: 0 success, 1 validation/usage error, 2 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .model import (
     Uniform,
     ValidationError,
     enumerate_partitions,
-    validate,
 )
 
 LETTERS = "abcdefghijklm"
@@ -66,11 +65,15 @@ def player_letter(i: int) -> str:
 
 
 def _letter_index(token: str, m: int) -> int:
+    """Read back a name ``player_letter`` writes; ``p<index>`` names any player."""
     token = token.strip()
-    last = LETTERS[min(m, len(LETTERS)) - 1]
-    idx = LETTERS.find(token)
-    if len(token) != 1 or idx < 0:
-        raise ValidationError(f"expected a player letter a..{last}, got {token!r}")
+    idx = LETTERS.find(token) if len(token) == 1 else -1
+    digits = token[1:]
+    if token[:1] == "p" and digits.isdecimal() and str(int(digits)) == digits:
+        idx = int(digits)
+    if idx < 0:
+        last = LETTERS[min(m, len(LETTERS)) - 1]
+        raise ValidationError(f"expected a player letter a..{last} or p<index>, got {token!r}")
     if idx >= m:
         raise ValidationError(f"player {token!r} out of range for {m} players")
     return idx
@@ -280,7 +283,6 @@ class Inputs:
             if mu_e is None or sigma_sq is None:
                 raise ValidationError("config needs players, mu_e and sigma_sq")
             self.config = GameConfig(tuple(players), mu_e, sigma_sq, linreg)
-            validate(self.config)
 
         self.scheme: FederationScheme | None = None
         raw_scheme = doc.get("scheme")

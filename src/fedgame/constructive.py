@@ -23,6 +23,7 @@ from .model import (
     TwoSizeGame,
     Uniform,
     ValidationError,
+    _is_count,
     check_profiles,
     check_two_size_config,
     scheme_name,
@@ -96,8 +97,11 @@ def classify_equal_samples(
     coarse-grained federation: the grand coalition is always the unique
     core partition.
     """
-    if m < 1:
-        raise ValidationError(f"need at least one player, got m={m}")
+    if not _is_count(n) or config.players != (n,) * m:
+        raise ValidationError(
+            f"equal-sample classification needs config players {m} x {n!r} samples, "
+            f"got {config.players}"
+        )
     if not isinstance(scheme, (Uniform, CoarseOptimal)):
         raise ValidationError(
             f"equal-sample classification covers uniform and optimal "

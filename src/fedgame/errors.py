@@ -84,18 +84,7 @@ def _variance_term(config: GameConfig, n: int) -> Number:
     if config.linreg is None:
         return config.mu_e / n
     d = config.linreg.d
-    if n <= d + 1:
-        raise ValidationError(f"linear regression needs n > d+1 (n={n}, d={d})")
     return config.mu_e * d / (n - d - 1)
-
-
-def _check_linreg_members(members: Iterable[int], config: GameConfig) -> None:
-    if config.linreg is None:
-        return
-    d = config.linreg.d
-    n = min(config.players[i] for i in members)
-    if n <= d + 1:
-        raise ValidationError(f"linear regression needs n > d+1 (n={n}, d={d})")
 
 
 def _sample_sums(members: Iterable[int], ns: Sequence[int]) -> tuple[int, int]:
@@ -248,7 +237,6 @@ def _member_formula(
         raise ValidationError("coalition: must be non-empty")
     _check_player(min(members), config)
     _check_player(max(members), config)
-    _check_linreg_members(members, config)
     ns = config.players
     alone = len(members) == 1
     if isinstance(scheme, Local) or (

@@ -44,10 +44,20 @@ class LinRegSpec:
     d: int
     sigma_bias_sq: Number
 
+    def __post_init__(self) -> None:
+        if not _is_count(self.d) or self.d < 1:
+            raise ValidationError(f"linreg.d: must be a positive integer, got {self.d!r}")
+        _check_finite("linreg.sigma_bias_sq", self.sigma_bias_sq)
+        if self.sigma_bias_sq < 0:
+            raise ValidationError("linreg.sigma_bias_sq: must be non-negative")
+
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Population of sample counts plus distribution summary parameters."""
+    """Population of sample counts plus distribution summary parameters.
+
+    Construction refuses any value outside the game's domain, naming the field.
+    """
 
     players: tuple[int, ...]
     mu_e: Number
@@ -56,6 +66,24 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "players", tuple(self.players))
+        if len(self.players) == 0:
+            raise ValidationError("players: empty population")
+        for n in self.players:
+            if not _is_count(n) or n < 1:
+                raise ValidationError(f"players: sample count {n!r} must be a positive integer")
+        _check_finite("mu_e", self.mu_e)
+        if not self.mu_e > 0:
+            raise ValidationError(f"mu_e: must be positive, got {self.mu_e!r}")
+        _check_finite("sigma_sq", self.sigma_sq)
+        if self.sigma_sq < 0:
+            raise ValidationError(f"sigma_sq: must be non-negative, got {self.sigma_sq!r}")
+        lr = self.linreg
+        if lr is not None:
+            for n in self.players:
+                if n <= lr.d + 1:
+                    raise ValidationError(
+                        f"players: n must exceed d+1 for linear regression (n={n}, d={lr.d})"
+                    )
 
     @property
     def player_count(self) -> int:
@@ -72,33 +100,6 @@ def _check_finite(name: str, value: object) -> None:
         raise ValidationError(f"{name}: must be a real number, got {value!r}")
     if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
         raise ValidationError(f"{name}: must be finite, got {value!r}")
-
-
-def validate(config: GameConfig) -> None:
-    """Raise ValidationError naming the failing field if config is invalid."""
-    if len(config.players) == 0:
-        raise ValidationError("players: empty population")
-    for n in config.players:
-        if not _is_count(n) or n < 1:
-            raise ValidationError(f"players: sample count {n!r} must be a positive integer")
-    _check_finite("mu_e", config.mu_e)
-    if not config.mu_e > 0:
-        raise ValidationError(f"mu_e: must be positive, got {config.mu_e!r}")
-    _check_finite("sigma_sq", config.sigma_sq)
-    if config.sigma_sq < 0:
-        raise ValidationError(f"sigma_sq: must be non-negative, got {config.sigma_sq!r}")
-    lr = config.linreg
-    if lr is not None:
-        if not _is_count(lr.d) or lr.d < 1:
-            raise ValidationError(f"linreg.d: must be a positive integer, got {lr.d!r}")
-        _check_finite("linreg.sigma_bias_sq", lr.sigma_bias_sq)
-        if lr.sigma_bias_sq < 0:
-            raise ValidationError("linreg.sigma_bias_sq: must be non-negative")
-        for n in config.players:
-            if n <= lr.d + 1:
-                raise ValidationError(
-                    f"players: n must exceed d+1 for linear regression (n={n}, d={lr.d})"
-                )
 
 
 def check_row_sum(row: Mapping[int, Number], what: str) -> None:
@@ -233,9 +234,8 @@ def check_profiles(game: TwoSizeGame, profiles: Sequence[tuple[int, int]]) -> No
 
 
 def check_two_size_config(game: TwoSizeGame, config: GameConfig) -> None:
-    """A two-size game's config: valid, mean estimation (no linreg spec),
-    and players exactly S x n_s then L x n_l samples."""
-    validate(config)
+    """A two-size game's config: mean estimation (no linreg spec) with
+    players exactly S x n_s then L x n_l samples."""
     if config.linreg is not None:
         raise ValidationError(
             "two-size games cover mean estimation only; config has a linreg spec"
@@ -286,6 +286,8 @@ class Fine:
 
     def __post_init__(self) -> None:
         for j, row in self.rows.items():
+            for i, v in row.items():
+                _check_finite(f"fine weight of player {i} in the row for player {j}", v)
             check_row_sum(row, f"fine row for player {j}")
 
 

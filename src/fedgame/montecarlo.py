@@ -33,6 +33,7 @@ from .model import (
     Number,
     Uniform,
     ValidationError,
+    _is_count,
     scheme_name,
 )
 from .weights import explicit_row
@@ -71,6 +72,10 @@ class TrialPlan:
     seed: int
 
     def __post_init__(self) -> None:
+        if not (_is_count(self.trials) and _is_count(self.seed)):
+            raise ValidationError(
+                f"trials and seed must be integers, got {self.trials!r}, {self.seed!r}"
+            )
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -261,9 +266,6 @@ def empirical_mse_linreg(
     row = _combination_row(j, coalition, scheme, config)
     members = coalition.members
     counts = [config.players[i] for i in members]
-    for n in counts:
-        if n <= d + 1:
-            raise ValidationError(f"linear regression needs n > d+1 (n={n}, d={d})")
     weights = np.array([row.get(i, 0.0) for i in members], dtype=float)
     stds = np.sqrt(np.array(coef_variances, dtype=float))
     mu_e = float(config.mu_e)

@@ -36,7 +36,6 @@ from .model import (
     enumerate_partitions,
     exact_config,
     exact_scheme,
-    validate,
 )
 
 _STRICT_FLOOR = 1e-15
@@ -167,7 +166,6 @@ def _verdict_table(
     what: str,
 ) -> _ErrorTable:
     """Check a verdict's inputs, then give it an empty, lazily filled table."""
-    validate(config)
     _check_partition(partition, config)
     _require_cap(partition.player_count, MAX_COALITION_PLAYERS, what)
     return _ErrorTable(config, scheme, prefs)
@@ -243,7 +241,6 @@ def find_stable_partitions(
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> list[Partition]:
     """All partitions satisfying the notion, in canonical enumeration order."""
-    validate(config)
     if notion not in NOTIONS:
         raise ValidationError(f"unknown stability notion {notion!r}, expected {NOTIONS}")
     m = len(config.players)

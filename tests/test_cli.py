@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from fedgame.cli import main, parse_partition, format_partition, render_table
+from fedgame import ValidationError
+from fedgame.cli import format_partition, main, parse_coalition, parse_partition, render_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,6 +124,18 @@ def test_stability_witness_reported(capsys):
     )
     assert code == 0
     assert out.strip() == "unstable (blocking coalition {a,b})"
+
+
+def test_stability_partition_names_players_beyond_m(capsys):
+    # 14 players: the fourteenth prints as p13 and must read back as p13.
+    players = ",".join(["5"] * 14)
+    common = ("stability", "--players", players, "--mue", "10", "--sigma2", "1", "--scheme", "uniform")
+    singletons = "|".join("{%s}" % name for name in [*"abcdefghijklm", "p13"])
+    code, out, err = run_cli(capsys, *common, "--partition", singletons)
+    assert (code, out, err) == (0, "unstable (blocking coalition {a,b})\n", "")
+    grand = "{" + ",".join([*"abcdefghijklm", "p13"]) + "}"
+    code, out, err = run_cli(capsys, *common, "--partition", grand)
+    assert (code, out, err) == (0, "stable\n", "")
 
 
 def test_stability_enumerate(capsys):
@@ -271,6 +284,13 @@ def test_partition_grammar():
     assert format_partition(p) == "{a,c}|{b}"
     with pytest.raises(Exception):
         parse_partition("{a}|{b}", 3)  # player c missing
+    fourteen = parse_partition("{p0,b}|{c,d,e,f,g,h,i,j,k,l,m,p13}", 14)
+    assert format_partition(fourteen) == "{a,b}|{c,d,e,f,g,h,i,j,k,l,m,p13}"
+    with pytest.raises(ValidationError, match="out of range"):
+        parse_coalition("{a,p14}", 14)
+    for bad in ("{a,p013}", "{a,p}", "{a,n}", "{a,p-1}", "{a,p\u0661}", "{a,p\u00b2}"):
+        with pytest.raises(ValidationError, match="expected a player letter"):
+            parse_coalition(bad, 14)
 
 
 def test_render_table_alignment_and_csv_quoting():

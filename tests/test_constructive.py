@@ -73,6 +73,18 @@ def test_classification_matches_exhaustive_search():
         assert stable == [got.prescriptions[0].partition]
 
 
+def test_classification_refuses_a_config_that_is_not_its_population():
+    with pytest.raises(ValidationError, match="3 x 5"):
+        classify_equal_samples(5, 3, mk_config(25, 25, 25), Uniform())
+    with pytest.raises(ValidationError, match="equal-sample"):
+        classify_equal_samples(5, 2, mk_config(5, 5, 5), Uniform())
+    # 5.0 and True compare equal to the counts 5 and 1, so only a type check
+    # refuses them.
+    for bad_n, players in ((5.5, (5, 5, 5)), (5.0, (5, 5, 5)), (True, (1, 1, 1))):
+        with pytest.raises(ValidationError, match="equal-sample"):
+            classify_equal_samples(bad_n, 3, mk_config(*players), CoarseOptimal())
+
+
 # --- constructive individually stable arrangement ----------------------------------
 
 

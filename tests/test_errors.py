@@ -172,7 +172,7 @@ def test_fine_rejects_malformed_rows():
         mse_fine(0, c, {0: 0.6, 1: 0.5}, config)
     with pytest.raises(ValidationError, match="do not match"):
         mse_fine(0, c, {0: 1.0}, config)
-    with pytest.raises(ValidationError, match="sums to nan"):
+    with pytest.raises(ValidationError, match="must be finite, got nan"):
         mse_fine(0, c, {0: float("nan"), 1: 0.5}, config)
 
 
@@ -201,9 +201,8 @@ def test_linreg_fine_indicator_equals_local():
 
 
 def test_linreg_rejects_small_samples():
-    config = GameConfig((4, 40), 10, 1, LinRegSpec(3, 1))
     with pytest.raises(ValidationError, match="d\\+1"):
-        coalition_member_mse(0, Coalition((0, 1)), Uniform(), config)
+        GameConfig((4, 40), 10, 1, LinRegSpec(3, 1))
 
 
 # --- player_errors ------------------------------------------------------------------

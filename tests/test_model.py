@@ -1,4 +1,5 @@
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 
 from fedgame import (
@@ -15,47 +16,60 @@ from fedgame import (
     enumerate_partitions,
     exact_config,
     exact_scheme,
-    validate,
 )
 from oracles import bell_numbers
 
 
+def build(players, mu_e, sigma_sq, linreg=None):
+    """A GameConfig from plain arguments; ``linreg`` is ``(d, sigma_bias_sq)``."""
+    return GameConfig(players, mu_e, sigma_sq, None if linreg is None else LinRegSpec(*linreg))
+
+
 def test_validate_accepts_reference_setup():
-    validate(GameConfig((5, 5, 5), 10, 1))
+    assert GameConfig((5, 5, 5), 10, 1).players == (5, 5, 5)
 
 
 def test_validate_rejects_empty_population():
     with pytest.raises(ValidationError, match="empty population"):
-        validate(GameConfig((), 10, 1))
+        GameConfig((), 10, 1)
 
 
+# Each case is the constructor's arguments, so a config that fails to be
+# refused fails its own case rather than the module's collection.
 @pytest.mark.parametrize(
     "config, fragment",
     [
-        (GameConfig((0, 5), 10, 1), "positive integer"),
-        (GameConfig((5,), 0, 1), "mu_e"),
-        (GameConfig((5,), 10, -1), "sigma_sq"),
-        (GameConfig((6,), 10, 1, LinRegSpec(5, 1)), "n must exceed d\\+1"),
-        (GameConfig((8,), 10, 1, LinRegSpec(0, 1)), "linreg.d"),
-        (GameConfig((8,), 10, 1, LinRegSpec(2, -1)), "sigma_bias_sq"),
-        (GameConfig((5, 5), float("nan"), 1), "mu_e"),
-        (GameConfig((5, 5), float("inf"), 1), "mu_e"),
-        (GameConfig((5, 5), 10, float("nan")), "sigma_sq"),
-        (GameConfig((5, 5), 10, float("inf")), "sigma_sq"),
-        (GameConfig((8,), 10, 1, LinRegSpec(2, float("nan"))), "sigma_bias_sq"),
-        (GameConfig((8,), 10, 1, LinRegSpec(2, float("inf"))), "sigma_bias_sq"),
-        (GameConfig((5, True), 10, 1), "sample count True"),
-        (GameConfig((8,), 10, 1, LinRegSpec(True, 1)), "linreg.d"),
-        (GameConfig((5,), "10", 1), "real number"),
+        (((0, 5), 10, 1), "positive integer"),
+        (((5,), 0, 1), "mu_e"),
+        (((5,), 10, -1), "sigma_sq"),
+        (((6,), 10, 1, (5, 1)), "n must exceed d\\+1"),
+        (((8,), 10, 1, (0, 1)), "linreg.d"),
+        (((8,), 10, 1, (2, -1)), "sigma_bias_sq"),
+        (((5, 5), float("nan"), 1), "mu_e"),
+        (((5, 5), float("inf"), 1), "mu_e"),
+        (((5, 5), 10, float("nan")), "sigma_sq"),
+        (((5, 5), 10, float("inf")), "sigma_sq"),
+        (((8,), 10, 1, (2, float("nan"))), "sigma_bias_sq"),
+        (((8,), 10, 1, (2, float("inf"))), "sigma_bias_sq"),
+        (((5, True), 10, 1), "sample count True"),
+        (((8,), 10, 1, (True, 1)), "linreg.d"),
+        (((5,), "10", 1), "real number"),
     ],
 )
 def test_validate_rejects_bad_fields(config, fragment):
     with pytest.raises(ValidationError, match=fragment):
-        validate(config)
+        build(*config)
 
 
 def test_validate_accepts_exact_parameters():
-    validate(exact_config(GameConfig((8, 9), 10.5, 0.25, LinRegSpec(2, 1.5))))
+    config = exact_config(GameConfig((8, 9), 10.5, 0.25, LinRegSpec(2, 1.5)))
+    assert config.mu_e == Fraction(21, 2) and config.linreg.sigma_bias_sq == Fraction(3, 2)
+
+
+def test_replace_checks_the_new_config():
+    valid = GameConfig((5, 5), 10, 1)
+    with pytest.raises(ValidationError, match="sigma_sq"):
+        replace(valid, sigma_sq=float("nan"))
 
 
 def test_coalition_sorts_and_dedups():
@@ -102,8 +116,11 @@ def test_scheme_weight_validation():
             Coarse({0: bad})
     with pytest.raises(ValidationError):
         Fine({0: {0: 0.5, 1: 0.4}})
-    with pytest.raises(ValidationError, match="sums to nan"):
+    with pytest.raises(ValidationError, match="must be finite, got nan"):
         Fine({0: {0: float("nan"), 1: 0.5}})
+    for bad in ("1", True):
+        with pytest.raises(ValidationError, match="real number"):
+            Fine({0: {0: bad}})
     Fine({0: {0: 0.5, 1: 0.5}})
 
 

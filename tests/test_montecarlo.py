@@ -133,6 +133,9 @@ def test_distribution_and_plan_validation():
         TrialPlan(trials=0, seed=1)
     with pytest.raises(ValidationError):
         TrialPlan(trials=10, seed=-1)
+    for trials, seed in ((2.5, 0), (10, 1.0), (True, 1), (10, True), ("10", 1)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            TrialPlan(trials, seed)
 
 
 def test_linreg_coef_variances_validation():

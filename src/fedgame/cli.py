@@ -35,6 +35,7 @@ from .model import (
     TwoSizeGame,
     Uniform,
     ValidationError,
+    _check_finite,
     enumerate_partitions,
 )
 
@@ -245,6 +246,8 @@ class Inputs:
         if getattr(args, "config", None):
             doc = _load_document(args.config, exact)
         players = doc.get("players")
+        if players is not None and not isinstance(players, list):
+            raise ValidationError(f"players: must be a list of sample counts, got {players!r}")
         if getattr(args, "players", None):
             players = list(_parse_players(args.players))
         mu_e = doc.get("mu_e")
@@ -271,6 +274,12 @@ class Inputs:
             coef = raw_linreg.get("coef_variances")
             bias = raw_linreg.get("sigma_bias_sq")
             if coef is not None:
+                if not isinstance(coef, list):
+                    raise ValidationError(
+                        f"linreg.coef_variances: must be a list of numbers, got {coef!r}"
+                    )
+                for k, value in enumerate(coef):
+                    _check_finite(f"linreg.coef_variances[{k}]", value)
                 self.coef_variances = list(coef)
                 if bias is None:
                     bias = sum(coef)

@@ -12,9 +12,11 @@ subterms are multiplied by a parameter before any division.
 
 Each scheme's formula is written once, as a function of one member and of
 terms the whole coalition shares (the sample sums N and Q, the regression
-global variance, the optimal-fine V_i).  ``coalition_errors`` computes the
-shared terms once for all members; ``coalition_member_mse`` and the
-per-scheme functions go through the same formulas for a single member.
+global variance, the optimal-fine V_i).  ``member_formula`` computes the
+shared terms once and returns the per-member formula; ``coalition_errors``
+(every member), ``coalition_member_mse`` (one member), the per-scheme
+functions and the stability scans (the members they ask about) all go
+through it.
 """
 
 from __future__ import annotations
@@ -142,12 +144,27 @@ def _coarse_member(
 
 
 def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Number) -> Number:
-    """Optimal-coarse closed form from (n_j, N, B); singleton degenerates to local."""
+    """Optimal-coarse closed form from (n_j, N, B); singleton degenerates to local.
+
+    A float mu_e near the top of the float range overflows mu_e^2; only then
+    is the form evaluated again with mu_e divided out of both sides, so
+    every finite result keeps its bits.
+    """
     if total == n_j:
         return mu_e / n_j
     num = mu_e * mu_e * (total - n_j) + mu_e * bias * b
     den = mu_e * total * (total - n_j) + bias * n_j * b
-    return num / den
+    result = num / den
+    if isinstance(result, float) and not math.isfinite(result):
+        result = (mu_e * (total - n_j) + bias * b) / (
+            total * (total - n_j) + bias * n_j * b / mu_e
+        )
+        if not math.isfinite(result):
+            raise ValidationError(
+                f"optimal coarse-grained error overflows for mu_e={mu_e!r}, "
+                f"bias={bias!r}, n={n_j}, N={total}"
+            )
+    return result
 
 
 def _row_bias_sums(j: int, row: Mapping[int, Number]) -> tuple[Number, Number]:
@@ -222,16 +239,18 @@ def _check_row(row: Mapping[int, Number], members: Sequence[int]) -> None:
         )
 
 
-def _member_formula(
+def member_formula(
     members: Sequence[int], scheme: FederationScheme, config: GameConfig
 ) -> Callable[[int], Number]:
     """Player -> expected MSE inside the coalition ``members`` under scheme.
 
-    Checks the coalition and computes what its members share once: the
-    sample sums N and Q, the linear-regression global variance, or the
-    optimal-fine V_i and 1/V_i.  The returned function then costs O(1) per
-    member, or O(|C|) under the fine-grained schemes.  A coarse weight or a
-    fine row is looked up only for the member asked about.
+    ``members`` are distinct player indices in ascending order.  This is
+    the one path to every coalition-member error.  It checks the coalition
+    and computes what its members share once: the sample sums N and Q, the
+    linear-regression global variance, or the optimal-fine V_i and 1/V_i.
+    The returned function then costs O(1) per member, or O(|C|) under the
+    fine-grained schemes.  A coarse weight or a fine row is looked up only
+    for the member asked about.
     """
     if not members:
         raise ValidationError("coalition: must be non-empty")
@@ -290,7 +309,7 @@ def coalition_errors(
     identical, value and type, to ``coalition_member_mse`` for that member.
     """
     members = coalition.members if isinstance(coalition, Coalition) else coalition
-    error_of = _member_formula(members, scheme, config)
+    error_of = member_formula(members, scheme, config)
     return {j: error_of(j) for j in members}
 
 
@@ -299,7 +318,7 @@ def coalition_member_mse(
 ) -> Number:
     """Expected MSE of player j inside its coalition under any scheme."""
     _check_member(j, coalition)
-    return _member_formula(coalition.members, scheme, config)(j)
+    return member_formula(coalition.members, scheme, config)(j)
 
 
 def mse_local(j: int, config: GameConfig) -> Number:

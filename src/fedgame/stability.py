@@ -3,6 +3,9 @@
 Verdicts carry concrete witnesses that re-verify against the error module.
 Checks are exhaustive over candidate coalitions (player count capped) and,
 for two-size populations, count-symmetric so they scale to large counts.
+Member errors are computed per member, on demand: a candidate coalition is
+settled by its first member who does not gain, and the members after that
+one are never evaluated.
 
 Comparisons run in one of two modes: relative-epsilon floating point
 (default) or exact rational arithmetic, selected on ``PreferenceOrder``.
@@ -15,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-# coalition_member_mse is not called here; it stays importable from this
-# module for code that wraps the member-error layer by module attribute.
-from .errors import coalition_errors, coalition_member_mse, two_size_errors  # noqa: F401
+# coalition_member_mse is not called here (the scans call member_formula);
+# it stays importable from this module for code that wraps the member-error
+# layer by module attribute.
+from .errors import coalition_member_mse, member_formula, two_size_errors  # noqa: F401
 from .model import (
     CapExceededError,
     Coalition,
@@ -89,7 +93,17 @@ class StabilityVerdict:
 
 
 class _ErrorTable:
-    """Memoized per-coalition member errors, keyed by membership bitmask."""
+    """Member errors per coalition, keyed by membership bitmask, computed
+    per member on demand.
+
+    The memo holds, for each mask visited, ``(members, values)``: the
+    members in ascending order and a player -> error dict that holds only
+    the members asked about so far.  ``errors.member_formula`` builds the
+    coalition's shared terms at most once per visit, and only when a member
+    asked about is missing.  The scans read ``memo`` and fill ``values``
+    inline, without a method call per member: they run once per partition
+    in a stable-set search.
+    """
 
     def __init__(
         self, config: GameConfig, scheme: FederationScheme, prefs: PreferenceOrder
@@ -105,20 +119,29 @@ class _ErrorTable:
         self.config = config
         self.scheme = scheme
         self._players = range(len(config.players))
-        self._memo: dict[int, dict[int, Number]] = {}
+        self.memo: dict[int, tuple[list[int], dict[int, Number]]] = {}
 
-    def errors(self, mask: int) -> dict[int, Number]:
-        cached = self._memo.get(mask)
-        if cached is None:
-            members = [j for j in self._players if mask >> j & 1]
-            cached = coalition_errors(members, self.scheme, self.config)
-            self._memo[mask] = cached
-        return cached
+    def add(self, mask: int) -> tuple[list[int], dict[int, Number]]:
+        """A new memo entry for the mask, with no member errors yet."""
+        entry = self.memo[mask] = ([j for j in self._players if mask >> j & 1], {})
+        return entry
 
-    def partition_errors(self, partition: Partition) -> dict[int, Number]:
+    def filled(self, mask: int) -> dict[int, Number]:
+        """Every member's error in the mask's coalition."""
+        members, values = self.memo.get(mask) or self.add(mask)
+        if len(values) < len(members):
+            error_of = member_formula(members, self.scheme, self.config)
+            for j in members:
+                if j not in values:
+                    values[j] = error_of(j)
+        return values
+
+    def current_errors(self, masks: Sequence[int]) -> dict[int, Number]:
+        """Every player's error in its own coalition, given the coalitions'
+        masks."""
         current: dict[int, Number] = {}
-        for coalition in partition.coalitions:
-            current.update(self.errors(coalition.mask))
+        for mask in masks:
+            current.update(self.filled(mask))
         return current
 
 
@@ -142,18 +165,31 @@ def _blocking_coalition(
 
     strict_notion=False: every member strictly gains (core blocking).
     strict_notion=True: every member weakly gains, at least one strictly.
+    Members are asked about in ascending order, and a mask is settled by its
+    first member who does not gain; later members' errors are not computed.
     """
     m = partition.player_count
-    current = table.partition_errors(partition)
+    current = table.current_errors([c.mask for c in partition.coalitions])
+    gains = prefs.weakly_less if strict_notion else prefs.strictly_less
+    strictly_less = prefs.strictly_less
+    scheme, config = table.scheme, table.config
+    memo_get, add = table.memo.get, table.add
     for mask in range(1, 1 << m):
-        errs = table.errors(mask)
-        if strict_notion:
-            if all(prefs.weakly_less(errs[j], current[j]) for j in errs) and any(
-                prefs.strictly_less(errs[j], current[j]) for j in errs
-            ):
-                return Coalition.from_mask(mask)
+        members, values = memo_get(mask) or add(mask)
+        error_of = None
+        strict = not strict_notion
+        for j in members:
+            err = values.get(j)
+            if err is None:
+                if error_of is None:
+                    error_of = member_formula(members, scheme, config)
+                err = values[j] = error_of(j)
+            if not gains(err, current[j]):
+                break
+            if not strict:
+                strict = strictly_less(err, current[j])
         else:
-            if all(prefs.strictly_less(errs[j], current[j]) for j in errs):
+            if strict:
                 return Coalition.from_mask(mask)
     return None
 
@@ -201,21 +237,44 @@ def _individual_deviation(
     prefs: PreferenceOrder,
     allow_singleton_deviation: bool,
 ) -> Optional[Deviation]:
-    current = table.partition_errors(partition)
+    """First deviation, movers in index order.  In each coalition a mover
+    could join, the mover's error is computed first, then each host's in
+    ascending order until one host would lose."""
+    masks = [c.mask for c in partition.coalitions]
+    current = table.current_errors(masks)
+    strictly_less, weakly_less = prefs.strictly_less, prefs.weakly_less
+    scheme, config = table.scheme, table.config
+    memo_get, add = table.memo.get, table.add
     for i in range(partition.player_count):
-        own = partition.coalition_of(i)
-        for coalition in partition.coalitions:
-            if i in coalition:
+        bit = 1 << i
+        own = bit
+        for host_mask in masks:
+            if host_mask & bit:
+                own = host_mask
                 continue
-            joined_mask = coalition.mask | (1 << i)
-            errs = table.errors(joined_mask)
-            if prefs.strictly_less(errs[i], current[i]) and all(
-                prefs.weakly_less(errs[j], current[j]) for j in coalition
-            ):
-                return Deviation(player=i, target=Coalition.from_mask(joined_mask))
-        if allow_singleton_deviation and len(own) > 1:
-            alone = table.errors(1 << i)
-            if prefs.strictly_less(alone[i], current[i]):
+            joined = host_mask | bit
+            members, values = memo_get(joined) or add(joined)
+            err = values.get(i)
+            error_of = None
+            if err is None:
+                error_of = member_formula(members, scheme, config)
+                err = values[i] = error_of(i)
+            if not strictly_less(err, current[i]):
+                continue
+            for j in members:
+                if j == i:
+                    continue
+                err = values.get(j)
+                if err is None:
+                    if error_of is None:
+                        error_of = member_formula(members, scheme, config)
+                    err = values[j] = error_of(j)
+                if not weakly_less(err, current[j]):
+                    break
+            else:
+                return Deviation(player=i, target=Coalition.from_mask(joined))
+        if allow_singleton_deviation and own != bit:
+            if strictly_less(table.filled(bit)[i], current[i]):
                 return Deviation(player=i, target=Coalition((i,)))
     return None
 

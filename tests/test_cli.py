@@ -256,6 +256,24 @@ def test_non_integral_linreg_d_exit_1(tmp_path, capsys, d):
     assert code == 1 and "linreg.d" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"players": 5}, "players"),
+        ({"linreg": {"d": 2, "coef_variances": ["a"]}}, "linreg.coef_variances[0]"),
+        ({"linreg": {"d": 2, "coef_variances": [0.5, None]}}, "linreg.coef_variances[1]"),
+        ({"linreg": {"d": 2, "coef_variances": [0.5, True]}}, "linreg.coef_variances[1]"),
+        ({"linreg": {"d": 2, "coef_variances": 1}}, "linreg.coef_variances"),
+    ],
+)
+def test_ill_typed_document_field_exit_1(tmp_path, capsys, doc, field):
+    path = tmp_path / "ill_typed.json"
+    path.write_text(json.dumps({"players": [30, 40], "mu_e": 10, "sigma_sq": 1, **doc}))
+    code, out, err = run_cli(capsys, "errors", "--config", str(path), "--scheme", "uniform")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("field", ["n_s", "n_l", "S", "L"])
 def test_non_integral_two_size_field_exit_1(tmp_path, capsys, field):
     two_size = {"n_s": 11, "n_l": 106, "S": 70, "L": 7}

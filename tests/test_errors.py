@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from fedgame import (
     TwoSizeGame,
     Uniform,
     ValidationError,
+    coalition_errors,
     coalition_member_mse,
+    exact_config,
     mse_coarse,
     mse_fine,
     mse_local,
@@ -286,3 +289,17 @@ def test_two_size_singleton_and_missing_roles():
         two_size_errors(game, 0, 0, 10, 1, Uniform())
     with pytest.raises(ValidationError, match="supports uniform"):
         two_size_errors(game, 1, 1, 10, 1, Local())
+
+
+def test_coarse_optimal_survives_a_squared_mu_e_overflow():
+    # mu_e**2 overflows a float; the closed form is evaluated again with
+    # mu_e divided out of both sides, and agrees with exact arithmetic.
+    config = GameConfig((5, 5), 1e155, 1)
+    errs = coalition_errors(Coalition((0, 1)), CoarseOptimal(), config)
+    exact = coalition_errors(Coalition((0, 1)), CoarseOptimal(), exact_config(config))
+    for j in (0, 1):
+        assert math.isfinite(errs[j]) and rel_close(errs[j], float(exact[j]))
+    assert rel_close(errs[0], 1e154)
+    big = GameConfig((5, 5, 7), 1.7e308, 1e308)
+    with pytest.raises(ValidationError, match="overflows"):
+        coalition_errors(Coalition((0, 1, 2)), CoarseOptimal(), big)

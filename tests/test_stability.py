@@ -26,6 +26,7 @@ from fedgame import (
     two_size_weak_blocking_search,
 )
 from fedgame import stability
+from fedgame.errors import member_formula
 from fedgame.stability import Deviation, PreferenceOrder
 import oracles
 
@@ -119,6 +120,13 @@ def test_player_cap_enforced():
         find_stable_partitions(GameConfig((5,) * 14, 10, 1), Uniform(), "core")
 
 
+def test_large_mu_e_coarse_optimal_singletons_are_blocked_by_the_pair():
+    # each member gets about 1e299 in {a,b} against 2e299 alone
+    config = GameConfig((5, 5), 1e300, 1)
+    verdict = is_core_stable(Partition.singletons(2), CoarseOptimal(), config)
+    assert not verdict.stable and verdict.witness == Coalition((0, 1))
+
+
 def test_non_finite_config_refused_before_any_verdict():
     # No verdict or search can be asked about these games: their configs
     # are refused when built.
@@ -137,12 +145,66 @@ def test_single_verdict_computes_only_the_masks_it_scans(monkeypatch):
 
     def counting(members, scheme, cfg):
         computed.append(sum(1 << j for j in members))
-        return coalition_errors(members, scheme, cfg)
+        return member_formula(members, scheme, cfg)
 
-    monkeypatch.setattr(stability, "coalition_errors", counting)
+    monkeypatch.setattr(stability, "member_formula", counting)
     verdict = is_core_stable(Partition.singletons(m), Uniform(), config)
     assert not verdict.stable and verdict.witness == Coalition((0, 1))
     assert sorted(computed) == sorted([1 << j for j in range(m)] + [3])
+
+
+def _member_evaluations(monkeypatch):
+    """Patch the scans' formula seam; count member evaluations per mask."""
+    evaluated = {}
+
+    def counting(members, scheme, cfg):
+        error_of = member_formula(members, scheme, cfg)
+        mask = sum(1 << j for j in members)
+
+        def counted(j):
+            evaluated[mask] = evaluated.get(mask, 0) + 1
+            return error_of(j)
+
+        return counted
+
+    monkeypatch.setattr(stability, "member_formula", counting)
+    return evaluated
+
+
+@pytest.mark.parametrize(
+    "players, mu_e, scheme, blocks, strict_notion",
+    [
+        # coarse-optimal grand coalition below the threshold: core stable
+        ((2, 3, 4, 5, 6, 7, 8, 9), 100, CoarseOptimal(), [range(8)], False),
+        # a strict-core stable partition whose masks fail at members 0..3
+        ((2, 3, 5, 8, 13, 21, 34, 55), 10, Uniform(), [range(5), [5], [6], [7]], True),
+    ],
+)
+def test_a_stable_scan_stops_at_each_masks_first_non_gaining_member(
+    monkeypatch, players, mu_e, scheme, blocks, strict_notion
+):
+    config = GameConfig(players, mu_e, 1)
+    partition = Partition.from_blocks(blocks)
+    prefs = PreferenceOrder()
+    gains = prefs.weakly_less if strict_notion else prefs.strictly_less
+    current = {}
+    for coalition in partition.coalitions:
+        current.update(coalition_errors(coalition, scheme, config))
+    own = {coalition.mask for coalition in partition.coalitions}
+    expected = {}
+    for mask in range(1, 1 << len(players)):
+        coalition = Coalition.from_mask(mask)
+        errs = coalition_errors(coalition, scheme, config)
+        fails = [k for k, j in enumerate(coalition.members) if not gains(errs[j], current[j])]
+        # the partition's own coalitions are filled whole for `current`
+        expected[mask] = len(coalition) if mask in own or not fails else fails[0] + 1
+
+    evaluated = _member_evaluations(monkeypatch)
+    verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
+        partition, scheme, config, prefs
+    )
+    assert verdict.stable
+    assert evaluated == expected
 
 
 def test_unknown_notion_rejected():

@@ -227,7 +227,9 @@ def _load_document(path: str, exact: bool) -> dict:
                 data = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, bytes that are not UTF-8, or an integer literal
+        # with more digits than Python converts
         raise ValidationError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ValidationError("config document must be a JSON object")

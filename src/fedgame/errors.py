@@ -12,11 +12,15 @@ subterms are multiplied by a parameter before any division.
 
 Each scheme's formula is written once, as a function of one member and of
 terms the whole coalition shares (the sample sums N and Q, the regression
-global variance, the optimal-fine V_i).  ``member_formula`` computes the
-shared terms once and returns the per-member formula; ``coalition_errors``
-(every member), ``coalition_member_mse`` (one member), the per-scheme
-functions and the stability scans (the members they ask about) all go
-through it.
+global variance).  ``scheme_formula`` resolves a scheme once for a config:
+it dispatches on the scheme and computes the per-player terms (local
+errors, the optimal-fine V_i, the regression numerators and denominators),
+and returns ``build(members, N, Q)``, which computes a coalition's shared
+terms and returns its per-member formula.  ``member_formula`` checks one
+coalition, takes its sums and calls the builder; ``coalition_errors``
+(every member), ``coalition_member_mse`` (one member) and the per-scheme
+functions go through it.  The stability scans resolve the scheme once per
+error table and call the builder with sums they carry from mask to mask.
 """
 
 from __future__ import annotations
@@ -104,24 +108,19 @@ def _bias_integer(n_j: int, total: int, square: int) -> int:
     return square - n_j * n_j + (total - n_j) ** 2
 
 
-def _global_variance(members: Iterable[int], total: int, config: GameConfig) -> Number:
-    """Linear-regression variance of the coalition's sample-weighted model."""
-    ns = config.players
-    d = config.linreg.d
-    return sum(
-        config.mu_e * ns[i] * ns[i] * d / ((ns[i] - d - 1) * total * total)
-        for i in members
-    )
+def _global_variance(
+    members: Iterable[int], total: int, num: Sequence[Number], den: Sequence[int]
+) -> Number:
+    """Linear-regression variance of the coalition's sample-weighted model,
+    from each player's numerator mu_e*n_i*n_i*d and denominator n_i-d-1.
+
+    The integer divisor (n_i-d-1)*N*N is exact in any grouping, so N*N is
+    taken once; the terms are summed in member order."""
+    square_total = total * total
+    return sum([num[i] / (den[i] * square_total) for i in members])
 
 
 # --- member formulas: one scheme each, given the coalition-wide terms ---------
-
-
-def _uniform_member(
-    n_j: int, total: int, square: int, global_var: Number | None, config: GameConfig
-) -> Number:
-    variance = config.mu_e / total if config.linreg is None else global_var
-    return variance + _bias_coef(config) * _bias_integer(n_j, total, square) / (total * total)
 
 
 def _coarse_member(
@@ -199,21 +198,21 @@ def _fine_member(j: int, row: Mapping[int, Number], config: GameConfig) -> Numbe
 
 
 def _optimal_fine_terms(
-    members: Iterable[int], config: GameConfig
-) -> tuple[Number, Number, dict[int, Number], dict[int, Number]]:
-    """(mu, bias, V, 1/V) for the optimal fine rows, V_i = bias + mu/n_i."""
+    config: GameConfig,
+) -> tuple[Number, Number, list[Number], list[Number]]:
+    """(mu, bias, V, 1/V) for the optimal fine rows, V_i = bias + mu/n_i,
+    with V and 1/V listed per player."""
     mu, bias, _ = effective_mean_params(config)
-    ns = config.players
-    v_of = {i: bias + mu / ns[i] for i in members}
-    inv = {i: 1 / v for i, v in v_of.items()}
+    v_of = [bias + mu / n for n in config.players]
+    inv = [1 / v for v in v_of]
     return mu, bias, v_of, inv
 
 
 def _optimal_row(
     j: int,
     members: Iterable[int],
-    v_of: Mapping[int, Number],
-    inv: Mapping[int, Number],
+    v_of: Sequence[Number],
+    inv: Sequence[Number],
     bias: Number,
 ) -> dict[int, Number]:
     """Player j's error-minimizing fine row over at least two members.
@@ -239,64 +238,127 @@ def _check_row(row: Mapping[int, Number], members: Sequence[int]) -> None:
         )
 
 
+MemberError = Callable[[int], Number]
+FormulaBuilder = Callable[[Sequence[int], int, int], MemberError]
+
+
+def scheme_formula(scheme: FederationScheme, config: GameConfig) -> FormulaBuilder:
+    """Resolve the scheme once: ``build(members, N, Q)`` -> player -> MSE.
+
+    Everything that does not depend on the coalition is done here, once: the
+    scheme dispatch, each player's local error, the optimal-weight
+    parameters, the optimal-fine V_i and 1/V_i, and each player's
+    linear-regression numerator mu_e*n_i*n_i*d and denominator n_i-d-1.
+
+    ``build`` takes a coalition's members (distinct, in-range player indices
+    in ascending order) and their sample sums N and Q (``_sample_sums``).
+    It computes what the members share, the regression global variance,
+    once, and returns the per-member formula.  That costs O(1) per member,
+    or O(|C|) under the fine-grained schemes.  A coarse weight or a fine row
+    is looked up only for the member asked about.
+    """
+    ns = config.players
+    local = [_variance_term(config, n) for n in ns]
+    alone_error = local.__getitem__
+    if isinstance(scheme, Local):
+        return lambda members, total, square: alone_error
+    if isinstance(scheme, Fine):
+        rows = scheme.rows
+
+        def build_fine(members: Sequence[int], total: int, square: int) -> MemberError:
+            alone = len(members) == 1
+
+            def fine(j: int) -> Number:
+                if j not in rows:
+                    raise ValidationError(f"fine scheme has no row for player {j}")
+                row = rows[j]
+                _check_row(row, members)
+                return local[j] if alone else _fine_member(j, row, config)
+
+            return fine
+
+        return build_fine
+    if isinstance(scheme, CoarseOptimal):
+        mu, bias, _ = effective_mean_params(config)
+
+        def build_coarse_optimal(members: Sequence[int], total: int, square: int) -> MemberError:
+            if len(members) == 1:
+                return alone_error
+            return lambda j: _coarse_optimal_parts(
+                ns[j], total, _bias_integer(ns[j], total, square), mu, bias
+            )
+
+        return build_coarse_optimal
+    if isinstance(scheme, FineOptimal):
+        mu, bias, v_of, inv = _optimal_fine_terms(config)
+
+        def build_fine_optimal(members: Sequence[int], total: int, square: int) -> MemberError:
+            if len(members) == 1:
+                return alone_error
+            return lambda j: _fine_mean_mse(
+                ns, j, _optimal_row(j, members, v_of, inv, bias), mu, bias
+            )
+
+        return build_fine_optimal
+    mu_e, bias_coef = config.mu_e, _bias_coef(config)
+    if config.linreg is None:
+        num = den = None
+    else:
+        d = config.linreg.d
+        num = [mu_e * n * n * d for n in ns]
+        den = [n - d - 1 for n in ns]
+    if isinstance(scheme, Uniform):
+
+        def build_uniform(members: Sequence[int], total: int, square: int) -> MemberError:
+            if len(members) == 1:
+                return alone_error
+            if num is None:
+                variance = mu_e / total
+            else:
+                variance = _global_variance(members, total, num, den)
+            square_total = total * total
+            return lambda j: (
+                variance + bias_coef * _bias_integer(ns[j], total, square) / square_total
+            )
+
+        return build_uniform
+    if isinstance(scheme, Coarse):
+        weights = scheme.weights
+
+        def build_coarse(members: Sequence[int], total: int, square: int) -> MemberError:
+            alone = len(members) == 1
+            global_var = (
+                None if num is None or alone else _global_variance(members, total, num, den)
+            )
+
+            def coarse(j: int) -> Number:
+                if j not in weights:
+                    raise ValidationError(f"coarse scheme has no weight for player {j}")
+                if alone:
+                    return local[j]
+                return _coarse_member(ns[j], weights[j], total, square, global_var, config)
+
+            return coarse
+
+        return build_coarse
+    raise ValidationError(f"unknown federation scheme {scheme!r}")
+
+
 def member_formula(
     members: Sequence[int], scheme: FederationScheme, config: GameConfig
-) -> Callable[[int], Number]:
+) -> MemberError:
     """Player -> expected MSE inside the coalition ``members`` under scheme.
 
-    ``members`` are distinct player indices in ascending order.  This is
-    the one path to every coalition-member error.  It checks the coalition
-    and computes what its members share once: the sample sums N and Q, the
-    linear-regression global variance, or the optimal-fine V_i and 1/V_i.
-    The returned function then costs O(1) per member, or O(|C|) under the
-    fine-grained schemes.  A coarse weight or a fine row is looked up only
-    for the member asked about.
+    ``members`` are distinct player indices in ascending order.  This checks
+    the coalition, takes its sample sums and hands them to the scheme's
+    ``scheme_formula`` builder: the one path to every coalition-member error.
     """
     if not members:
         raise ValidationError("coalition: must be non-empty")
     _check_player(min(members), config)
     _check_player(max(members), config)
-    ns = config.players
-    alone = len(members) == 1
-    if isinstance(scheme, Local) or (
-        alone and isinstance(scheme, (Uniform, CoarseOptimal, FineOptimal))
-    ):
-        return lambda j: _variance_term(config, ns[j])
-    if isinstance(scheme, Fine):
-
-        def fine(j: int) -> Number:
-            if j not in scheme.rows:
-                raise ValidationError(f"fine scheme has no row for player {j}")
-            row = scheme.rows[j]
-            _check_row(row, members)
-            return _variance_term(config, ns[j]) if alone else _fine_member(j, row, config)
-
-        return fine
-    total, square = _sample_sums(members, ns)
-    if isinstance(scheme, CoarseOptimal):
-        mu, bias, _ = effective_mean_params(config)
-        return lambda j: _coarse_optimal_parts(
-            ns[j], total, _bias_integer(ns[j], total, square), mu, bias
-        )
-    if isinstance(scheme, FineOptimal):
-        mu, bias, v_of, inv = _optimal_fine_terms(members, config)
-        return lambda j: _fine_mean_mse(
-            ns, j, _optimal_row(j, members, v_of, inv, bias), mu, bias
-        )
-    global_var = None if config.linreg is None else _global_variance(members, total, config)
-    if isinstance(scheme, Uniform):
-        return lambda j: _uniform_member(ns[j], total, square, global_var, config)
-    if isinstance(scheme, Coarse):
-
-        def coarse(j: int) -> Number:
-            if j not in scheme.weights:
-                raise ValidationError(f"coarse scheme has no weight for player {j}")
-            if alone:
-                return _variance_term(config, ns[j])
-            return _coarse_member(ns[j], scheme.weights[j], total, square, global_var, config)
-
-        return coarse
-    raise ValidationError(f"unknown federation scheme {scheme!r}")
+    total, square = _sample_sums(members, config.players)
+    return scheme_formula(scheme, config)(members, total, square)
 
 
 def coalition_errors(

@@ -98,7 +98,13 @@ def _is_count(value: object) -> bool:
 def _check_finite(name: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name}: must be a real number, got {value!r}")
-    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        # an int or Fraction whose float() overflows; its digits may be too
+        # many to print
+        raise ValidationError(f"{name}: must be finite, got a value beyond the float range")
+    if not finite:
         raise ValidationError(f"{name}: must be finite, got {value!r}")
 
 

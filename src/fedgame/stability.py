@@ -5,7 +5,10 @@ Checks are exhaustive over candidate coalitions (player count capped) and,
 for two-size populations, count-symmetric so they scale to large counts.
 Member errors are computed per member, on demand: a candidate coalition is
 settled by its first member who does not gain, and the members after that
-one are never evaluated.
+one are never evaluated.  The scheme is resolved once per error table, and
+each coalition's members and sample sums come from the coalition without
+its lowest player, so a mask costs one formula build and the members asked
+about.
 
 Comparisons run in one of two modes: relative-epsilon floating point
 (default) or exact rational arithmetic, selected on ``PreferenceOrder``.
@@ -18,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-# coalition_member_mse is not called here (the scans call member_formula);
-# it stays importable from this module for code that wraps the member-error
-# layer by module attribute.
-from .errors import coalition_member_mse, member_formula, two_size_errors  # noqa: F401
+from .errors import _sample_sums, scheme_formula, two_size_errors
+
+# coalition_member_mse is not called here (the scans resolve the scheme once
+# with scheme_formula); it stays importable from this module for code that
+# wraps the member-error layer by module attribute.
+from .errors import coalition_member_mse  # noqa: F401
 from .model import (
     CapExceededError,
     Coalition,
@@ -96,13 +101,18 @@ class _ErrorTable:
     """Member errors per coalition, keyed by membership bitmask, computed
     per member on demand.
 
-    The memo holds, for each mask visited, ``(members, values)``: the
-    members in ascending order and a player -> error dict that holds only
-    the members asked about so far.  ``errors.member_formula`` builds the
-    coalition's shared terms at most once per visit, and only when a member
-    asked about is missing.  The scans read ``memo`` and fill ``values``
-    inline, without a method call per member: they run once per partition
-    in a stable-set search.
+    The scheme is resolved once, in ``__init__``: ``build`` is the
+    ``errors.scheme_formula`` builder, which takes a coalition's members
+    and sample sums N and Q and returns its per-member formula.  The memo
+    holds, for each mask visited, ``(members, values, N, Q)``: the members
+    in ascending order, a player -> error dict that holds only the members
+    asked about so far, and the sums.  ``add`` takes all three from the
+    entry of the mask without its lowest player, when that entry exists (it
+    always does in an ascending scan): integer sums are exact in any order.
+    A coalition's shared terms are built at most once per visit, and only
+    when a member asked about is missing.  The scans read ``memo`` and fill
+    ``values`` inline, without a method call per member: they run once per
+    partition in a stable-set search.
     """
 
     def __init__(
@@ -116,21 +126,30 @@ class _ErrorTable:
         if prefs.exact:
             config = exact_config(config)
             scheme = exact_scheme(scheme)
-        self.config = config
-        self.scheme = scheme
-        self._players = range(len(config.players))
-        self.memo: dict[int, tuple[list[int], dict[int, Number]]] = {}
+        self.build = scheme_formula(scheme, config)
+        self._ns = config.players
+        self.memo: dict[int, tuple[list[int], dict[int, Number], int, int]] = {}
 
-    def add(self, mask: int) -> tuple[list[int], dict[int, Number]]:
+    def add(self, mask: int) -> tuple[list[int], dict[int, Number], int, int]:
         """A new memo entry for the mask, with no member errors yet."""
-        entry = self.memo[mask] = ([j for j in self._players if mask >> j & 1], {})
+        low = mask & -mask
+        rest = self.memo.get(mask ^ low)
+        if rest is None:
+            members = [j for j in range(len(self._ns)) if mask >> j & 1]
+            total, square = _sample_sums(members, self._ns)
+        else:
+            j = low.bit_length() - 1
+            n = self._ns[j]
+            members = [j] + rest[0]
+            total, square = rest[2] + n, rest[3] + n * n
+        entry = self.memo[mask] = (members, {}, total, square)
         return entry
 
     def filled(self, mask: int) -> dict[int, Number]:
         """Every member's error in the mask's coalition."""
-        members, values = self.memo.get(mask) or self.add(mask)
+        members, values, total, square = self.memo.get(mask) or self.add(mask)
         if len(values) < len(members):
-            error_of = member_formula(members, self.scheme, self.config)
+            error_of = self.build(members, total, square)
             for j in members:
                 if j not in values:
                     values[j] = error_of(j)
@@ -172,17 +191,16 @@ def _blocking_coalition(
     current = table.current_errors([c.mask for c in partition.coalitions])
     gains = prefs.weakly_less if strict_notion else prefs.strictly_less
     strictly_less = prefs.strictly_less
-    scheme, config = table.scheme, table.config
-    memo_get, add = table.memo.get, table.add
+    memo_get, add, build = table.memo.get, table.add, table.build
     for mask in range(1, 1 << m):
-        members, values = memo_get(mask) or add(mask)
+        members, values, total, square = memo_get(mask) or add(mask)
         error_of = None
         strict = not strict_notion
         for j in members:
             err = values.get(j)
             if err is None:
                 if error_of is None:
-                    error_of = member_formula(members, scheme, config)
+                    error_of = build(members, total, square)
                 err = values[j] = error_of(j)
             if not gains(err, current[j]):
                 break
@@ -243,8 +261,7 @@ def _individual_deviation(
     masks = [c.mask for c in partition.coalitions]
     current = table.current_errors(masks)
     strictly_less, weakly_less = prefs.strictly_less, prefs.weakly_less
-    scheme, config = table.scheme, table.config
-    memo_get, add = table.memo.get, table.add
+    memo_get, add, build = table.memo.get, table.add, table.build
     for i in range(partition.player_count):
         bit = 1 << i
         own = bit
@@ -253,11 +270,11 @@ def _individual_deviation(
                 own = host_mask
                 continue
             joined = host_mask | bit
-            members, values = memo_get(joined) or add(joined)
+            members, values, total, square = memo_get(joined) or add(joined)
             err = values.get(i)
             error_of = None
             if err is None:
-                error_of = member_formula(members, scheme, config)
+                error_of = build(members, total, square)
                 err = values[i] = error_of(i)
             if not strictly_less(err, current[i]):
                 continue
@@ -267,7 +284,7 @@ def _individual_deviation(
                 err = values.get(j)
                 if err is None:
                     if error_of is None:
-                        error_of = member_formula(members, scheme, config)
+                        error_of = build(members, total, square)
                     err = values[j] = error_of(j)
                 if not weakly_less(err, current[j]):
                     break

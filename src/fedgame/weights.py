@@ -86,7 +86,7 @@ def optimal_v(j: int, coalition: Coalition, config: GameConfig) -> FineWeights:
     _check_player(j, config)
     if len(coalition) == 1:
         return FineWeights(player=j, row={j: 1})
-    _, bias, v_of, inv = _optimal_fine_terms(coalition.members, config)
+    _, bias, v_of, inv = _optimal_fine_terms(config)
     return FineWeights(player=j, row=_optimal_row(j, coalition.members, v_of, inv, bias))
 
 

@@ -274,6 +274,20 @@ def test_ill_typed_document_field_exit_1(tmp_path, capsys, doc, field):
     assert err.startswith(f"error: {field}:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "digits, message",
+    [(401, "mu_e: must be finite"), (5001, "is not valid JSON")],
+)
+def test_integer_beyond_the_float_range_exit_1(tmp_path, capsys, digits, message):
+    # written by hand: json.dumps cannot print a 5001-digit integer
+    mu_e = "1" + "0" * (digits - 1)
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"players": [5, 5], "mu_e": {mu_e}, "sigma_sq": 1}}')
+    code, out, err = run_cli(capsys, "errors", "--config", str(path), "--scheme", "uniform")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("field", ["n_s", "n_l", "S", "L"])
 def test_non_integral_two_size_field_exit_1(tmp_path, capsys, field):
     two_size = {"n_s": 11, "n_l": 106, "S": 70, "L": 7}

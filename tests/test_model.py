@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from dataclasses import replace
 from fractions import Fraction
@@ -122,6 +124,33 @@ def test_scheme_weight_validation():
         with pytest.raises(ValidationError, match="real number"):
             Fine({0: {0: bad}})
     Fine({0: {0: 0.5, 1: 0.5}})
+
+
+@pytest.mark.parametrize(
+    "big",
+    [10**400, Fraction(10**400, 3), 10**5000],
+    ids=["int-401-digits", "fraction", "int-5001-digits"],
+)
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda big: GameConfig((5, 5), big, 1), "mu_e"),
+        (lambda big: GameConfig((5, 5), 10, big), "sigma_sq"),
+        (lambda big: LinRegSpec(2, big), "linreg.sigma_bias_sq"),
+        (lambda big: Coarse({0: big}), "coarse weight for player 0"),
+        (lambda big: Fine({0: {0: big, 1: 1 - big}}), "fine weight of player 0"),
+    ],
+)
+def test_a_value_beyond_the_float_range_is_refused(make, field, big):
+    # an int or Fraction is exact, but every closed form divides it in floats
+    with pytest.raises(ValidationError, match=f"^{field}.*: must be finite"):
+        make(big)
+
+
+def test_the_largest_float_sized_integer_is_accepted():
+    top = int(sys.float_info.max)
+    assert GameConfig((5, 5), top, top).mu_e == top
+    assert GameConfig((5, 5), Fraction(top), 1).mu_e == top
 
 
 def test_partition_counts_match_bell_triangle():

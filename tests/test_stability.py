@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,7 @@ from fedgame import (
     two_size_weak_blocking_search,
 )
 from fedgame import stability
-from fedgame.errors import member_formula
+from fedgame.errors import scheme_formula
 from fedgame.stability import Deviation, PreferenceOrder
 import oracles
 
@@ -136,39 +137,62 @@ def test_non_finite_config_refused_before_any_verdict():
         GameConfig((5, True, 25), 10, 1)
 
 
+def _formula_seam(monkeypatch):
+    """Patch the scans' formula seam, ``stability.scheme_formula``.  Count
+    scheme resolutions, coalition builds (their masks) and member
+    evaluations per mask."""
+    seam = SimpleNamespace(resolved=0, built=[], evaluated={})
+
+    def resolve(scheme, cfg):
+        seam.resolved += 1
+        build = scheme_formula(scheme, cfg)
+
+        def counting_build(members, total, square):
+            mask = sum(1 << j for j in members)
+            seam.built.append(mask)
+            error_of = build(members, total, square)
+
+            def counted(j):
+                seam.evaluated[mask] = seam.evaluated.get(mask, 0) + 1
+                return error_of(j)
+
+            return counted
+
+        return counting_build
+
+    monkeypatch.setattr(stability, "scheme_formula", resolve)
+    return seam
+
+
 def test_single_verdict_computes_only_the_masks_it_scans(monkeypatch):
     # {a,b} blocks the singletons (n < mu_e/sigma_sq), so the scan stops at
     # mask 3 and must not have built the whole 2^14 - 1 table.
     m = 14
     config = GameConfig((5,) * m, 10, 1)
-    computed = []
-
-    def counting(members, scheme, cfg):
-        computed.append(sum(1 << j for j in members))
-        return member_formula(members, scheme, cfg)
-
-    monkeypatch.setattr(stability, "member_formula", counting)
+    computed = _formula_seam(monkeypatch).built
     verdict = is_core_stable(Partition.singletons(m), Uniform(), config)
     assert not verdict.stable and verdict.witness == Coalition((0, 1))
     assert sorted(computed) == sorted([1 << j for j in range(m)] + [3])
 
 
-def _member_evaluations(monkeypatch):
-    """Patch the scans' formula seam; count member evaluations per mask."""
-    evaluated = {}
-
-    def counting(members, scheme, cfg):
-        error_of = member_formula(members, scheme, cfg)
-        mask = sum(1 << j for j in members)
-
-        def counted(j):
-            evaluated[mask] = evaluated.get(mask, 0) + 1
-            return error_of(j)
-
-        return counted
-
-    monkeypatch.setattr(stability, "member_formula", counting)
-    return evaluated
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("notion", ["core", "strict", "individual"])
+def test_a_verdict_and_a_stable_set_search_each_resolve_the_scheme_once(
+    monkeypatch, notion, exact
+):
+    config = GameConfig((2, 3, 5, 8, 13), 10, 1)
+    prefs = PreferenceOrder(exact=exact)
+    verdict = {
+        "core": is_core_stable,
+        "strict": is_strict_core_stable,
+        "individual": is_individually_stable,
+    }[notion]
+    seam = _formula_seam(monkeypatch)
+    verdict(Partition.singletons(5), CoarseOptimal(), config, prefs)
+    assert seam.resolved == 1
+    seam = _formula_seam(monkeypatch)
+    find_stable_partitions(config, CoarseOptimal(), notion, prefs)
+    assert seam.resolved == 1 and len(set(seam.built)) == 31
 
 
 @pytest.mark.parametrize(
@@ -199,7 +223,7 @@ def test_a_stable_scan_stops_at_each_masks_first_non_gaining_member(
         # the partition's own coalitions are filled whole for `current`
         expected[mask] = len(coalition) if mask in own or not fails else fails[0] + 1
 
-    evaluated = _member_evaluations(monkeypatch)
+    evaluated = _formula_seam(monkeypatch).evaluated
     verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
         partition, scheme, config, prefs
     )

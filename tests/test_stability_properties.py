@@ -1,10 +1,11 @@
 """Property tests: every stability verdict re-verifies against the error
-layer, in float and exact modes, under every notion."""
+layer, in float and exact modes, under every notion; the scans' error table
+equals the error layer; and the two modes agree away from ties."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fedgame import (
     Coalition,
@@ -22,8 +23,17 @@ from fedgame import (
     is_individually_stable,
     is_strict_core_stable,
 )
-from fedgame.stability import Deviation, PreferenceOrder
-from test_config_properties import PROPERTY_SETTINGS, build, config_arguments
+from fedgame.stability import Deviation, PreferenceOrder, _ErrorTable
+from test_config_properties import MAX_COUNT, PROPERTY_SETTINGS, build, config_arguments
+
+
+def _schemes(draw, m):
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    return draw(
+        st.sampled_from(
+            [Local(), Uniform(), Coarse(dict(enumerate(weights))), CoarseOptimal(), FineOptimal()]
+        )
+    )
 
 
 @st.composite
@@ -40,12 +50,7 @@ def games(draw):
         mu_e, sigma_sq = draw(st.integers(1, 400)), draw(st.integers(1, 20))
     config = build(players, mu_e, sigma_sq, linreg)
     m = len(players)
-    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
-    scheme = draw(
-        st.sampled_from(
-            [Local(), Uniform(), Coarse(dict(enumerate(weights))), CoarseOptimal(), FineOptimal()]
-        )
-    )
+    scheme = _schemes(draw, m)
     labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
     blocks = [[j for j in range(m) if labels[j] == b] for b in sorted(set(labels))]
     prefs = PreferenceOrder(exact=draw(st.booleans()))
@@ -123,3 +128,61 @@ def test_strict_core_stable_sets_lie_inside_the_core_stable_sets(game):
     strict = find_stable_partitions(config, scheme, "strict", prefs)
     core = find_stable_partitions(config, scheme, "core", prefs)
     assert set(strict) <= set(core)
+
+
+@st.composite
+def tables(draw):
+    """(config, scheme, prefs) with 1 to 6 players, mean estimation or
+    linear regression."""
+    players, mu_e, sigma_sq, linreg = draw(config_arguments())
+    low = 1 if linreg is None else linreg[0] + 2
+    players += tuple(draw(st.lists(st.integers(low, MAX_COUNT), max_size=6 - len(players))))
+    config = build(players, mu_e, sigma_sq, linreg)
+    return config, _schemes(draw, len(players)), PreferenceOrder(exact=draw(st.booleans()))
+
+
+def _typed(errors):
+    return [(j, type(err), err) for j, err in errors.items()]
+
+
+@PROPERTY_SETTINGS
+@given(tables(), st.randoms(use_true_random=False))
+def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
+    # Ascending, every mask's sums come from the mask without its lowest
+    # player; shuffled, some masks are read directly.
+    config, scheme, prefs = table_game
+    errors_of = _error_layer(config, scheme, prefs)
+    ascending = range(1, 1 << len(config.players))
+    shuffled = list(ascending)
+    rng.shuffle(shuffled)
+    for order in (ascending, shuffled):
+        table = _ErrorTable(config, scheme, prefs)
+        for mask in order:
+            expected = errors_of(Coalition.from_mask(mask))
+            assert _typed(table.filled(mask)) == _typed(expected), mask
+
+
+@PROPERTY_SETTINGS
+@given(games(), st.booleans())
+def test_exact_and_float_verdicts_agree_away_from_ties(game, allow_singleton_deviation):
+    """Every pair the verdicts compare, a player's error in a coalition with
+    them against their current error, is either an exact tie, which the
+    float mode's epsilon is there to recognize, or more than a relative 1e-6
+    apart.  Then both modes give the same verdicts and witnesses."""
+    config, scheme, partition, _ = game
+    exact_of = _error_layer(config, scheme, PreferenceOrder(exact=True))
+    current = _current(exact_of, partition)
+    for mask in range(1, 1 << len(config.players)):
+        for j, err in exact_of(Coalition.from_mask(mask)).items():
+            assume(err == current[j] or abs(err - current[j]) > 1e-6 * max(err, current[j]))
+    verdicts = (
+        lambda prefs: is_core_stable(partition, scheme, config, prefs),
+        lambda prefs: is_strict_core_stable(partition, scheme, config, prefs),
+        lambda prefs: is_individually_stable(
+            partition, scheme, config, prefs, allow_singleton_deviation
+        ),
+    )
+    for verdict in verdicts:
+        in_float = verdict(PreferenceOrder())
+        in_exact = verdict(PreferenceOrder(exact=True))
+        assert (in_float.stable, in_float.witness) == (in_exact.stable, in_exact.witness)

@@ -109,15 +109,31 @@ def _bias_integer(n_j: int, total: int, square: int) -> int:
 
 
 def _global_variance(
-    members: Iterable[int], total: int, num: Sequence[Number], den: Sequence[int]
+    members: Iterable[int],
+    total: int,
+    mu_e: Number,
+    scaled: Sequence[int],
+    num: Sequence[Number],
+    den: Sequence[int],
 ) -> Number:
     """Linear-regression variance of the coalition's sample-weighted model,
-    from each player's numerator mu_e*n_i*n_i*d and denominator n_i-d-1.
+    from each player's numerator mu_e*n_i*n_i*d (``scaled`` is n_i*n_i*d)
+    and denominator n_i-d-1.
 
     The integer divisor (n_i-d-1)*N*N is exact in any grouping, so N*N is
-    taken once; the terms are summed in member order."""
+    taken once; the terms are summed in member order.  A float mu_e near
+    the top of the float range overflows a numerator; only then is the sum
+    taken again with mu_e factored out, so every finite result keeps its
+    bits."""
     square_total = total * total
-    return sum([num[i] / (den[i] * square_total) for i in members])
+    variance = sum([num[i] / (den[i] * square_total) for i in members])
+    if isinstance(variance, float) and not math.isfinite(variance):
+        variance = mu_e * sum([scaled[i] / (den[i] * square_total) for i in members])
+        if not math.isfinite(variance):
+            raise ValidationError(
+                f"linear-regression global variance overflows for mu_e={mu_e!r}, N={total}"
+            )
+    return variance
 
 
 # --- member formulas: one scheme each, given the coalition-wide terms ---------
@@ -302,11 +318,12 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> FormulaBuild
         return build_fine_optimal
     mu_e, bias_coef = config.mu_e, _bias_coef(config)
     if config.linreg is None:
-        num = den = None
+        num = den = scaled = None
     else:
         d = config.linreg.d
         num = [mu_e * n * n * d for n in ns]
         den = [n - d - 1 for n in ns]
+        scaled = [n * n * d for n in ns]
     if isinstance(scheme, Uniform):
 
         def build_uniform(members: Sequence[int], total: int, square: int) -> MemberError:
@@ -315,7 +332,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> FormulaBuild
             if num is None:
                 variance = mu_e / total
             else:
-                variance = _global_variance(members, total, num, den)
+                variance = _global_variance(members, total, mu_e, scaled, num, den)
             square_total = total * total
             return lambda j: (
                 variance + bias_coef * _bias_integer(ns[j], total, square) / square_total
@@ -327,9 +344,9 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> FormulaBuild
 
         def build_coarse(members: Sequence[int], total: int, square: int) -> MemberError:
             alone = len(members) == 1
-            global_var = (
-                None if num is None or alone else _global_variance(members, total, num, den)
-            )
+            global_var = None
+            if num is not None and not alone:
+                global_var = _global_variance(members, total, mu_e, scaled, num, den)
 
             def coarse(j: int) -> Number:
                 if j not in weights:

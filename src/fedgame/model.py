@@ -148,12 +148,10 @@ class Coalition:
     @classmethod
     def from_mask(cls, mask: int) -> "Coalition":
         members = []
-        j = 0
         while mask:
-            if mask & 1:
-                members.append(j)
-            mask >>= 1
-            j += 1
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
         return cls(tuple(members))
 
 
@@ -192,6 +190,10 @@ class Partition:
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]]) -> "Partition":
         return cls(tuple(Coalition(tuple(b)) for b in blocks))
+
+    @classmethod
+    def from_masks(cls, masks: Sequence[int]) -> "Partition":
+        return cls(tuple(Coalition.from_mask(mask) for mask in masks))
 
     @classmethod
     def grand(cls, m: int) -> "Partition":
@@ -350,6 +352,28 @@ def exact_scheme(scheme: FederationScheme) -> FederationScheme:
 # --- enumeration ------------------------------------------------------------
 
 
+def _partition_masks(m: int) -> Iterator[tuple[int, ...]]:
+    """Every set partition of {0..m-1} as a tuple of block bitmasks, blocks
+    sorted by least member, in restricted-growth-string order.
+
+    Lexicographic order on restricted growth strings is the order of their
+    prefixes, then of the last digit: for each partition of the first m-1
+    players, player m-1 joins each block in turn, then opens a new one
+    (Knuth, TAOCP 4A, 7.2.1.5).  Neither step moves a block's least member.
+    """
+    if m == 1:
+        yield (1,)
+        return
+    bit = 1 << (m - 1)
+    for prefix in _partition_masks(m - 1):
+        blocks = list(prefix)
+        for k, block in enumerate(prefix):
+            blocks[k] = block | bit
+            yield tuple(blocks)
+            blocks[k] = block
+        yield prefix + (bit,)
+
+
 def enumerate_partitions(m: int) -> Iterator[Partition]:
     """Yield every set partition of {0..m-1} in restricted-growth-string order.
 
@@ -363,22 +387,7 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
         raise CapExceededError(
             f"enumerate_partitions: m={m} exceeds cap {MAX_PARTITION_PLAYERS}"
         )
-
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[Partition]:
-        if i == m:
-            yield Partition.from_blocks([list(b) for b in blocks])
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    return rec(0)
+    return (Partition.from_masks(masks) for masks in _partition_masks(m))
 
 
 def enumerate_coalitions(m: int) -> Iterator[Coalition]:

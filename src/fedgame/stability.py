@@ -10,6 +10,13 @@ each coalition's members and sample sums come from the coalition without
 its lowest player, so a mask costs one formula build and the members asked
 about.
 
+The scans work on a partition as its tuple of block bitmasks: the public
+verdicts convert their ``Partition`` once, and the stable-set search walks
+the mask tuples of ``model._partition_masks`` and builds a ``Partition``
+only for each partition it returns.  Each scan computes every player's
+strict and weak bounds once per partition (``PreferenceOrder.bounds``) and
+compares member errors against them inline.
+
 Comparisons run in one of two modes: relative-epsilon floating point
 (default) or exact rational arithmetic, selected on ``PreferenceOrder``.
 Errors here are O(1)-scale rationals, so a relative epsilon with a small
@@ -23,10 +30,12 @@ from typing import Optional, Sequence
 
 from .errors import _sample_sums, scheme_formula, two_size_errors
 
-# coalition_member_mse is not called here (the scans resolve the scheme once
-# with scheme_formula); it stays importable from this module for code that
-# wraps the member-error layer by module attribute.
+# coalition_member_mse and enumerate_partitions are not called here (the
+# scans resolve the scheme once with scheme_formula and walk block masks from
+# model._partition_masks); they stay importable from this module for code
+# that wraps those layers by module attribute.
 from .errors import coalition_member_mse  # noqa: F401
+from .model import enumerate_partitions  # noqa: F401
 from .model import (
     CapExceededError,
     Coalition,
@@ -40,9 +49,9 @@ from .model import (
     TwoSizeGame,
     ValidationError,
     _check_finite,
+    _partition_masks,
     check_profiles,
     check_two_size_config,
-    enumerate_partitions,
     exact_config,
     exact_scheme,
 )
@@ -67,15 +76,24 @@ class PreferenceOrder:
         if self.epsilon < 0:
             raise ValidationError("preference epsilon must be non-negative")
 
-    def strictly_less(self, new: Number, old: Number) -> bool:
+    def bounds(self, current: Sequence[Number]) -> tuple[list[Number], list[Number]]:
+        """Per-value decision edges ``(lower, upper)``: ``new`` is strictly
+        preferred to ``current[j]`` iff ``new < lower[j]``, and weakly iff
+        ``new <= upper[j]``.  In float mode lower = cur*(1-eps) - floor and
+        upper = cur*(1+eps); in exact mode both are cur.  For a non-negative
+        ``cur``, lower <= upper, so a strict preference is also a weak one.
+        """
         if self.exact:
-            return new < old
-        return new < old * (1.0 - self.epsilon) - _STRICT_FLOOR
+            values = list(current)
+            return values, values
+        shrink, grow = 1.0 - self.epsilon, 1.0 + self.epsilon
+        return [cur * shrink - _STRICT_FLOOR for cur in current], [cur * grow for cur in current]
+
+    def strictly_less(self, new: Number, old: Number) -> bool:
+        return new < self.bounds((old,))[0][0]
 
     def weakly_less(self, new: Number, old: Number) -> bool:
-        if self.exact:
-            return new <= old
-        return new <= old * (1.0 + self.epsilon)
+        return new <= self.bounds((old,))[1][0]
 
     @property
     def mode(self) -> str:
@@ -155,12 +173,13 @@ class _ErrorTable:
                     values[j] = error_of(j)
         return values
 
-    def current_errors(self, masks: Sequence[int]) -> dict[int, Number]:
-        """Every player's error in its own coalition, given the coalitions'
-        masks."""
-        current: dict[int, Number] = {}
+    def current_errors(self, masks: Sequence[int]) -> list[Number]:
+        """Every player's error in its own coalition, indexed by player,
+        given the partition's block masks."""
+        current: list[Number] = [0] * len(self._ns)
         for mask in masks:
-            current.update(self.filled(mask))
+            for j, err in self.filled(mask).items():
+                current[j] = err
         return current
 
 
@@ -177,38 +196,45 @@ def _check_partition(partition: Partition, config: GameConfig) -> None:
         )
 
 
+def _block_masks(partition: Partition) -> tuple[int, ...]:
+    return tuple(c.mask for c in partition.coalitions)
+
+
 def _blocking_coalition(
-    partition: Partition, table: _ErrorTable, prefs: PreferenceOrder, strict_notion: bool
-) -> Optional[Coalition]:
-    """First blocking coalition in ascending-bitmask order, if any.
+    masks: Sequence[int],
+    m: int,
+    table: _ErrorTable,
+    prefs: PreferenceOrder,
+    strict_notion: bool,
+) -> Optional[int]:
+    """Mask of the first blocking coalition in ascending-bitmask order, if
+    any, against the partition with block masks ``masks``.
 
     strict_notion=False: every member strictly gains (core blocking).
     strict_notion=True: every member weakly gains, at least one strictly.
     Members are asked about in ascending order, and a mask is settled by its
     first member who does not gain; later members' errors are not computed.
+    A strict gain is also a weak one (``PreferenceOrder.bounds``).
     """
-    m = partition.player_count
-    current = table.current_errors([c.mask for c in partition.coalitions])
-    gains = prefs.weakly_less if strict_notion else prefs.strictly_less
-    strictly_less = prefs.strictly_less
+    lower, upper = prefs.bounds(table.current_errors(masks))
     memo_get, add, build = table.memo.get, table.add, table.build
     for mask in range(1, 1 << m):
         members, values, total, square = memo_get(mask) or add(mask)
         error_of = None
-        strict = not strict_notion
+        strict = False
         for j in members:
             err = values.get(j)
             if err is None:
                 if error_of is None:
                     error_of = build(members, total, square)
                 err = values[j] = error_of(j)
-            if not gains(err, current[j]):
+            if err < lower[j]:
+                strict = True
+            elif not (strict_notion and err <= upper[j]):
                 break
-            if not strict:
-                strict = strictly_less(err, current[j])
         else:
             if strict:
-                return Coalition.from_mask(mask)
+                return mask
     return None
 
 
@@ -225,6 +251,22 @@ def _verdict_table(
     return _ErrorTable(config, scheme, prefs)
 
 
+def _core_verdict(
+    partition: Partition,
+    scheme: FederationScheme,
+    config: GameConfig,
+    prefs: PreferenceOrder,
+    strict_notion: bool,
+) -> StabilityVerdict:
+    what = "strict core stability" if strict_notion else "core stability"
+    table = _verdict_table(partition, scheme, config, prefs, what)
+    mask = _blocking_coalition(
+        _block_masks(partition), partition.player_count, table, prefs, strict_notion
+    )
+    witness = None if mask is None else Coalition.from_mask(mask)
+    return StabilityVerdict(witness is None, witness, prefs.mode)
+
+
 def is_core_stable(
     partition: Partition,
     scheme: FederationScheme,
@@ -232,9 +274,7 @@ def is_core_stable(
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> StabilityVerdict:
     """No coalition exists that every member strictly prefers."""
-    table = _verdict_table(partition, scheme, config, prefs, "core stability")
-    witness = _blocking_coalition(partition, table, prefs, strict_notion=False)
-    return StabilityVerdict(witness is None, witness, prefs.mode)
+    return _core_verdict(partition, scheme, config, prefs, strict_notion=False)
 
 
 def is_strict_core_stable(
@@ -244,25 +284,22 @@ def is_strict_core_stable(
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> StabilityVerdict:
     """No coalition all members weakly prefer with one strict preference."""
-    table = _verdict_table(partition, scheme, config, prefs, "strict core stability")
-    witness = _blocking_coalition(partition, table, prefs, strict_notion=True)
-    return StabilityVerdict(witness is None, witness, prefs.mode)
+    return _core_verdict(partition, scheme, config, prefs, strict_notion=True)
 
 
 def _individual_deviation(
-    partition: Partition,
+    masks: Sequence[int],
+    m: int,
     table: _ErrorTable,
     prefs: PreferenceOrder,
     allow_singleton_deviation: bool,
-) -> Optional[Deviation]:
-    """First deviation, movers in index order.  In each coalition a mover
-    could join, the mover's error is computed first, then each host's in
-    ascending order until one host would lose."""
-    masks = [c.mask for c in partition.coalitions]
-    current = table.current_errors(masks)
-    strictly_less, weakly_less = prefs.strictly_less, prefs.weakly_less
+) -> Optional[tuple[int, int]]:
+    """First deviation ``(mover, target mask)``, movers in index order.  In
+    each coalition a mover could join, the mover's error is computed first,
+    then each host's in ascending order until one host would lose."""
+    lower, upper = prefs.bounds(table.current_errors(masks))
     memo_get, add, build = table.memo.get, table.add, table.build
-    for i in range(partition.player_count):
+    for i in range(m):
         bit = 1 << i
         own = bit
         for host_mask in masks:
@@ -276,7 +313,7 @@ def _individual_deviation(
             if err is None:
                 error_of = build(members, total, square)
                 err = values[i] = error_of(i)
-            if not strictly_less(err, current[i]):
+            if not err < lower[i]:
                 continue
             for j in members:
                 if j == i:
@@ -286,13 +323,13 @@ def _individual_deviation(
                     if error_of is None:
                         error_of = build(members, total, square)
                     err = values[j] = error_of(j)
-                if not weakly_less(err, current[j]):
+                if not err <= upper[j]:
                     break
             else:
-                return Deviation(player=i, target=Coalition.from_mask(joined))
+                return i, joined
         if allow_singleton_deviation and own != bit:
-            if strictly_less(table.filled(bit)[i], current[i]):
-                return Deviation(player=i, target=Coalition((i,)))
+            if table.filled(bit)[i] < lower[i]:
+                return i, bit
     return None
 
 
@@ -306,7 +343,12 @@ def is_individually_stable(
     """No player strictly gains by joining an existing coalition (members
     weakly agreeing) or, unless disabled, by leaving to be alone."""
     table = _verdict_table(partition, scheme, config, prefs, "individual stability")
-    witness = _individual_deviation(partition, table, prefs, allow_singleton_deviation)
+    found = _individual_deviation(
+        _block_masks(partition), partition.player_count, table, prefs, allow_singleton_deviation
+    )
+    witness = None
+    if found is not None:
+        witness = Deviation(player=found[0], target=Coalition.from_mask(found[1]))
     return StabilityVerdict(witness is None, witness, prefs.mode)
 
 
@@ -316,23 +358,27 @@ def find_stable_partitions(
     notion: str,
     prefs: PreferenceOrder = PreferenceOrder(),
 ) -> list[Partition]:
-    """All partitions satisfying the notion, in canonical enumeration order."""
+    """All partitions satisfying the notion, in canonical enumeration order.
+
+    Partitions are searched as block-mask tuples; a ``Partition`` is built
+    only for each one returned."""
     if notion not in NOTIONS:
         raise ValidationError(f"unknown stability notion {notion!r}, expected {NOTIONS}")
     m = len(config.players)
     _require_cap(m, MAX_PARTITION_PLAYERS, "stable-partition search")
     table = _ErrorTable(config, scheme, prefs)
-    stable: list[Partition] = []
-    for partition in enumerate_partitions(m):
-        if notion == "core":
-            bad = _blocking_coalition(partition, table, prefs, strict_notion=False)
-        elif notion == "strict":
-            bad = _blocking_coalition(partition, table, prefs, strict_notion=True)
-        else:
-            bad = _individual_deviation(partition, table, prefs, True)
-        if bad is None:
-            stable.append(partition)
-    return stable
+    if notion == "individual":
+        stable = (
+            masks for masks in _partition_masks(m)
+            if _individual_deviation(masks, m, table, prefs, True) is None
+        )
+    else:
+        strict_notion = notion == "strict"
+        stable = (
+            masks for masks in _partition_masks(m)
+            if _blocking_coalition(masks, m, table, prefs, strict_notion) is None
+        )
+    return [Partition.from_masks(masks) for masks in stable]
 
 
 # --- two-size (count-symmetric) searches -------------------------------------
@@ -372,24 +418,26 @@ def _two_size_blocking(
     check_two_size_config(game, config)
     check_profiles(game, arrangement)
     mu_e, sigma_sq = _exact_params(config, prefs)
-    gains = prefs.weakly_less if strict_notion else prefs.strictly_less
-    # per role (0 small, 1 large): (count, current error) of each block with it
-    held: list[list[tuple[int, Number]]] = [[], []]
+    # per role (0 small, 1 large): (count, lower, upper) of each block with
+    # it, the bounds of its current error (``PreferenceOrder.bounds``)
+    held: list[list[tuple[int, Number, Number]]] = [[], []]
     for profile in arrangement:
         current = two_size_errors(game, *profile, mu_e, sigma_sq, scheme)
         for role in (0, 1):
             if profile[role]:
-                held[role].append((profile[role], current[role]))
+                (lower,), (upper,) = prefs.bounds((current[role],))
+                held[role].append((profile[role], lower, upper))
 
     def strict_gainers(role: int, need: int, new: Number) -> Optional[int]:
         """How many players of the role strictly gain from ``new``, or None
         when fewer than ``need`` of them gain at all."""
         willing = strict = 0
-        for count, cur in held[role]:
-            if gains(new, cur):
+        for count, lower, upper in held[role]:
+            if new < lower:
                 willing += count
-                if not strict_notion or prefs.strictly_less(new, cur):
-                    strict += count
+                strict += count
+            elif strict_notion and new <= upper:
+                willing += count
         return strict if willing >= need else None
 
     for s_cand in range(game.S, -1, -1):
@@ -451,28 +499,26 @@ def two_size_individually_stable(
     def errs(s: int, l: int) -> tuple[Number | None, Number | None]:
         return two_size_errors(game, s, l, mu_e, sigma_sq, scheme)
 
-    blocks = [(p, errs(p[0], p[1])) for p in arrangement]
-    for idx, ((s_k, l_k), (cur_s, cur_l)) in enumerate(blocks):
-        for role, count, cur in (("small", s_k, cur_s), ("large", l_k, cur_l)):
+    blocks = []
+    for profile in arrangement:
+        # an absent role's error is None; it is never compared
+        current = [0 if err is None else err for err in errs(*profile)]
+        blocks.append((profile, *prefs.bounds(current)))
+    for idx, ((s_k, l_k), lower, _) in enumerate(blocks):
+        for r, role, count in ((0, "small", s_k), (1, "large", l_k)):
             if not count:
                 continue
-            for t_idx, ((s_t, l_t), (t_s, t_l)) in enumerate(blocks):
+            for t_idx, ((s_t, l_t), _, upper) in enumerate(blocks):
                 if t_idx == idx:
                     continue
-                new_s = s_t + (role == "small")
-                new_l = l_t + (role == "large")
-                err_s_new, err_l_new = errs(new_s, new_l)
-                mover_err = err_s_new if role == "small" else err_l_new
-                if not prefs.strictly_less(mover_err, cur):
+                new_s, new_l = s_t + (r == 0), l_t + (r == 1)
+                new = errs(new_s, new_l)
+                if not new[r] < lower[r]:
                     continue
-                ok_small = not s_t or prefs.weakly_less(err_s_new, t_s)
-                ok_large = not l_t or prefs.weakly_less(err_l_new, t_l)
-                if ok_small and ok_large:
+                if (not s_t or new[0] <= upper[0]) and (not l_t or new[1] <= upper[1]):
                     return TwoSizeDeviation(role, (s_k, l_k), (new_s, new_l))
             if allow_singleton_deviation and s_k + l_k > 1:
-                alone = (1, 0) if role == "small" else (0, 1)
-                err_s_new, err_l_new = errs(*alone)
-                mover_err = err_s_new if role == "small" else err_l_new
-                if prefs.strictly_less(mover_err, cur):
+                alone = (1, 0) if r == 0 else (0, 1)
+                if errs(*alone)[r] < lower[r]:
                     return TwoSizeDeviation(role, (s_k, l_k), alone)
     return None

@@ -6,6 +6,7 @@ import pytest
 
 from fedgame import (
     Coalition,
+    Coarse,
     CoarseOptimal,
     Fine,
     GameConfig,
@@ -303,3 +304,19 @@ def test_coarse_optimal_survives_a_squared_mu_e_overflow():
     big = GameConfig((5, 5, 7), 1.7e308, 1e308)
     with pytest.raises(ValidationError, match="overflows"):
         coalition_errors(Coalition((0, 1, 2)), CoarseOptimal(), big)
+
+
+@pytest.mark.parametrize("scheme", [Uniform(), Coarse({0: 0.5, 1: 0.25})])
+def test_linreg_global_variance_survives_a_numerator_overflow(scheme):
+    # mu_e*n*n*d overflows a float; the global variance is summed again
+    # with mu_e factored out, and agrees with exact arithmetic.
+    config = GameConfig((200, 200), 1e306, 1, LinRegSpec(4, 1))
+    errs = coalition_errors(Coalition((0, 1)), scheme, config)
+    exact = coalition_errors(Coalition((0, 1)), scheme, exact_config(config))
+    for j in (0, 1):
+        assert math.isfinite(errs[j]) and rel_close(errs[j], float(exact[j]))
+    if isinstance(scheme, Uniform):
+        assert rel_close(errs[0], 1e306 * 2 / 195)  # about 1.03e304
+    big = GameConfig((6, 6), 1.7e308, 1, LinRegSpec(4, 1))
+    with pytest.raises(ValidationError, match="overflows"):
+        coalition_errors(Coalition((0, 1)), scheme, big)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -128,6 +129,29 @@ def test_large_mu_e_coarse_optimal_singletons_are_blocked_by_the_pair():
     assert not verdict.stable and verdict.witness == Coalition((0, 1))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize(
+    "partition, notion, witness",
+    [
+        (Partition.singletons(2), "core", Coalition((0, 1))),
+        (Partition.singletons(2), "strict", Coalition((0, 1))),
+        (Partition.singletons(2), "individual", Deviation(0, Coalition((0, 1)))),
+        (Partition.grand(2), "core", None),
+        (Partition.grand(2), "individual", None),
+    ],
+)
+def test_large_mu_e_linreg_verdicts_agree_in_both_modes(partition, notion, witness, exact):
+    # mu_e*n*n*d overflows a float: each member gets about 1.03e304 in
+    # {a,b} against 2.05e304 alone
+    config = GameConfig((200, 200), 1e306, 1, LinRegSpec(4, 1))
+    verdict = {
+        "core": is_core_stable,
+        "strict": is_strict_core_stable,
+        "individual": is_individually_stable,
+    }[notion](partition, Uniform(), config, PreferenceOrder(exact=exact))
+    assert (verdict.stable, verdict.witness) == (witness is None, witness)
+
+
 def test_non_finite_config_refused_before_any_verdict():
     # No verdict or search can be asked about these games: their configs
     # are refused when built.
@@ -229,6 +253,29 @@ def test_a_stable_scan_stops_at_each_masks_first_non_gaining_member(
     )
     assert verdict.stable
     assert evaluated == expected
+
+
+@pytest.mark.parametrize(
+    "players, mu_e, sigma_sq, notion, returned",
+    [
+        ((2, 3, 5, 8, 13, 21, 34), 10, 1, "core", 3),
+        ((2, 3, 5, 8, 13, 21, 34), 10, 1, "individual", 7),
+        ((10,) * 7, 100, 10, "strict", 877),  # all ties: every partition
+    ],
+)
+def test_a_stable_set_search_builds_a_partition_only_for_each_result(
+    monkeypatch, players, mu_e, sigma_sq, notion, returned
+):
+    built = []
+    post_init = Partition.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counting)
+    found = find_stable_partitions(GameConfig(players, mu_e, sigma_sq), Uniform(), notion)
+    assert len(found) == len(built) == returned
 
 
 def test_unknown_notion_rejected():
@@ -346,6 +393,37 @@ def test_preference_order_refuses_a_bad_epsilon():
         PreferenceOrder(epsilon=-1e-9)
     assert PreferenceOrder(epsilon=0).strictly_less(1.0, 2.0)
     assert PreferenceOrder(epsilon=Fraction(1, 10**9)).strictly_less(1.0, 2.0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 0, 1e-4, Fraction(1, 10**6)])
+@pytest.mark.parametrize("old", [0.0, 1e-300, 0.3, 2.0512820512820514, 7.5e12])
+def test_float_bounds_are_the_edges_of_strictly_and_weakly_less(epsilon, old):
+    prefs = PreferenceOrder(epsilon=epsilon)
+    (lower,), (upper,) = prefs.bounds([old])
+    assert lower == old * (1.0 - epsilon) - stability._STRICT_FLOOR
+    assert upper == old * (1.0 + epsilon)
+    below, above = math.nextafter(lower, -math.inf), math.nextafter(lower, math.inf)
+    assert [prefs.strictly_less(new, old) for new in (below, lower, above)] == [True, False, False]
+    below, above = math.nextafter(upper, -math.inf), math.nextafter(upper, math.inf)
+    assert [prefs.weakly_less(new, old) for new in (below, upper, above)] == [True, True, False]
+
+
+def test_bounds_of_a_list_are_the_bounds_of_each_value():
+    values = [0.1, 3.0, 2.0512820512820514, 0.1]
+    for prefs in (PreferenceOrder(), PreferenceOrder(epsilon=1e-3), PreferenceOrder(exact=True)):
+        lower, upper = prefs.bounds(values)
+        assert (lower, upper) == tuple(
+            [prefs.bounds([v])[k][0] for v in values] for k in (0, 1)
+        )
+
+
+def test_exact_bounds_are_the_values_themselves():
+    prefs = PreferenceOrder(exact=True)
+    values = [Fraction(41, 7), Fraction(1, 3), 0]
+    assert prefs.bounds(values) == (values, values)
+    old, tiny = Fraction(41, 7), Fraction(1, 10**40)
+    assert prefs.strictly_less(old - tiny, old) and not prefs.strictly_less(old, old)
+    assert prefs.weakly_less(old, old) and not prefs.weakly_less(old + tiny, old)
 
 
 # --- two-size searches ------------------------------------------------------------

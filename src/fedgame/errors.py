@@ -11,23 +11,31 @@ parameters, so they evaluate exactly when called with Fraction parameters
 subterms are multiplied by a parameter before any division.
 
 Each scheme's formula is written once, as a function of one member and of
-terms the whole coalition shares (the sample sums N and Q, the regression
-global variance).  ``scheme_formula`` resolves a scheme once for a config:
-it dispatches on the scheme and computes the per-player terms (local
-errors, the optimal-fine V_i, the regression numerators and denominators),
-and returns ``build(members, N, Q)``, which computes a coalition's shared
-terms and returns its per-member formula.  ``member_formula`` checks one
-coalition, takes its sums and calls the builder; ``coalition_errors``
-(every member), ``coalition_member_mse`` (one member) and the per-scheme
-functions go through it.  The stability scans resolve the scheme once per
-error table and call the builder with sums they carry from mask to mask.
+terms the whole coalition shares.  ``scheme_formula`` resolves a scheme once
+for a config: it dispatches on the scheme, computes the per-player terms
+(local errors, the optimal-fine V_i, the regression numerators and
+denominators) and returns a ``Formula``: ``error(j, N, Q, terms)``, the
+member's closed form given the coalition's sample sums N and Q, and
+``shared(members, N)``, which gives ``terms`` once per coalition.  ``shared``
+is None for the schemes whose member error needs only (n_j, N, Q): local,
+mean uniform, coarse-optimal and mean coarse; the fine-grained schemes share
+the member list and regression uniform and coarse the global variance.
+``member_formula`` checks one coalition, takes its sums and shared term and
+binds them to ``error``; ``coalition_errors`` (every member),
+``coalition_member_mse`` (one member) and the per-scheme functions go
+through it.  The stability scans resolve the scheme once per error table
+and call ``error`` directly, once per member they ask about, with sums they
+carry from mask to mask.
+
+A float error that overflows is refused with ``ValidationError``; every
+finite result keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
     Coalition,
@@ -45,6 +53,8 @@ from .model import (
     ValidationError,
     scheme_name,
 )
+
+_INF = math.inf
 
 LINREG_OPTIMAL_NOTE = (
     "optimal weights for linear regression use the many-samples "
@@ -108,34 +118,6 @@ def _bias_integer(n_j: int, total: int, square: int) -> int:
     return square - n_j * n_j + (total - n_j) ** 2
 
 
-def _global_variance(
-    members: Iterable[int],
-    total: int,
-    mu_e: Number,
-    scaled: Sequence[int],
-    num: Sequence[Number],
-    den: Sequence[int],
-) -> Number:
-    """Linear-regression variance of the coalition's sample-weighted model,
-    from each player's numerator mu_e*n_i*n_i*d (``scaled`` is n_i*n_i*d)
-    and denominator n_i-d-1.
-
-    The integer divisor (n_i-d-1)*N*N is exact in any grouping, so N*N is
-    taken once; the terms are summed in member order.  A float mu_e near
-    the top of the float range overflows a numerator; only then is the sum
-    taken again with mu_e factored out, so every finite result keeps its
-    bits."""
-    square_total = total * total
-    variance = sum([num[i] / (den[i] * square_total) for i in members])
-    if isinstance(variance, float) and not math.isfinite(variance):
-        variance = mu_e * sum([scaled[i] / (den[i] * square_total) for i in members])
-        if not math.isfinite(variance):
-            raise ValidationError(
-                f"linear-regression global variance overflows for mu_e={mu_e!r}, N={total}"
-            )
-    return variance
-
-
 # --- member formulas: one scheme each, given the coalition-wide terms ---------
 
 
@@ -170,11 +152,11 @@ def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Numb
     num = mu_e * mu_e * (total - n_j) + mu_e * bias * b
     den = mu_e * total * (total - n_j) + bias * n_j * b
     result = num / den
-    if isinstance(result, float) and not math.isfinite(result):
+    if not result < _INF:
         result = (mu_e * (total - n_j) + bias * b) / (
             total * (total - n_j) + bias * n_j * b / mu_e
         )
-        if not math.isfinite(result):
+        if not result < _INF:
             raise ValidationError(
                 f"optimal coarse-grained error overflows for mu_e={mu_e!r}, "
                 f"bias={bias!r}, n={n_j}, N={total}"
@@ -182,34 +164,19 @@ def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Numb
     return result
 
 
-def _row_bias_sums(j: int, row: Mapping[int, Number]) -> tuple[Number, Number]:
-    off = sum((v for i, v in row.items() if i != j), start=0)
-    off_sq = sum((v * v for i, v in row.items() if i != j), start=0)
-    return off, off_sq
-
-
-def _fine_mean_mse(
-    sample_counts: Sequence[int],
-    j: int,
-    row: Mapping[int, Number],
-    mu_e: Number,
-    bias_coef: Number,
-) -> Number:
-    """Mean-estimation fine-grained MSE for arbitrary (mu_e, bias) parameters."""
-    variance = sum(mu_e * v * v / sample_counts[i] for i, v in row.items())
-    off, off_sq = _row_bias_sums(j, row)
-    return variance + bias_coef * (off_sq + off * off)
-
-
 def _fine_member(j: int, row: Mapping[int, Number], config: GameConfig) -> Number:
+    """Fine-grained MSE of player j with weight row ``row``: the variance
+    terms in row order, then the bias term from the other members' weights."""
     ns = config.players
     if config.linreg is None:
-        return _fine_mean_mse(ns, j, row, config.mu_e, config.sigma_sq)
-    d = config.linreg.d
-    variance = sum(
-        config.mu_e * v * v * d / (ns[i] - d - 1) for i, v in row.items()
-    )
-    off, off_sq = _row_bias_sums(j, row)
+        variance = sum(config.mu_e * v * v / ns[i] for i, v in row.items())
+    else:
+        d = config.linreg.d
+        variance = sum(
+            config.mu_e * v * v * d / (ns[i] - d - 1) for i, v in row.items()
+        )
+    off = sum((v for i, v in row.items() if i != j), start=0)
+    off_sq = sum((v * v for i, v in row.items() if i != j), start=0)
     return variance + _bias_coef(config) * (off_sq + off * off)
 
 
@@ -255,109 +222,193 @@ def _check_row(row: Mapping[int, Number], members: Sequence[int]) -> None:
 
 
 MemberError = Callable[[int], Number]
-FormulaBuilder = Callable[[Sequence[int], int, int], MemberError]
 
 
-def scheme_formula(scheme: FederationScheme, config: GameConfig) -> FormulaBuilder:
-    """Resolve the scheme once: ``build(members, N, Q)`` -> player -> MSE.
+def _overflow(scheme: FederationScheme, n_j: int, total: int) -> ValidationError:
+    return ValidationError(
+        f"{scheme_name(scheme)} error of a member with {n_j} samples, in a coalition "
+        f"of {total} samples, overflows the float range"
+    )
+
+
+def _listed(members: Sequence[int], total: int) -> Sequence[int]:
+    """The shared term of the fine-grained schemes: the members themselves."""
+    return members
+
+
+class Formula(NamedTuple):
+    """A scheme resolved for one config (``scheme_formula``).
+
+    ``error(j, N, Q, terms)`` is player j's expected MSE in a coalition whose
+    members have sample sums N and Q (``_sample_sums``).  ``terms`` is what
+    ``shared(members, N)`` returns for that coalition, members listed in
+    ascending order; a caller takes it once per coalition, when the first
+    member error is needed.  ``shared`` is None, and ``terms`` is passed as
+    None, for the schemes whose member error needs only (n_j, N, Q): local,
+    mean uniform, coarse-optimal and mean coarse.  The fine-grained schemes
+    share the member list; regression uniform and coarse share the global
+    variance.
+
+    Every float error is finite: one that overflows, or is NaN from an
+    overflow, raises ``ValidationError``.
+    """
+
+    error: Callable[[int, int, int, Any], Number]
+    shared: Optional[Callable[[Sequence[int], int], Any]]
+
+
+def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
+    """Resolve the scheme once for a config: its ``Formula``.
 
     Everything that does not depend on the coalition is done here, once: the
     scheme dispatch, each player's local error, the optimal-weight
     parameters, the optimal-fine V_i and 1/V_i, and each player's
     linear-regression numerator mu_e*n_i*n_i*d and denominator n_i-d-1.
 
-    ``build`` takes a coalition's members (distinct, in-range player indices
-    in ascending order) and their sample sums N and Q (``_sample_sums``).
-    It computes what the members share, the regression global variance,
-    once, and returns the per-member formula.  That costs O(1) per member,
-    or O(|C|) under the fine-grained schemes.  A coarse weight or a fine row
-    is looked up only for the member asked about.
+    A member's error costs O(1), or O(|C|) under the fine-grained schemes,
+    plus the shared term, O(|C|), once per coalition.  A coarse weight or a
+    fine row is looked up only for the member asked about.  A member whose
+    own samples are the coalition's (N = n_j) is alone and gets their local
+    error.
     """
     ns = config.players
     local = [_variance_term(config, n) for n in ns]
-    alone_error = local.__getitem__
     if isinstance(scheme, Local):
-        return lambda members, total, square: alone_error
+
+        def local_error(j: int, total: int, square: int, terms: None) -> Number:
+            err = local[j]
+            if err < _INF:
+                return err
+            raise _overflow(scheme, ns[j], total)
+
+        return Formula(local_error, None)
     if isinstance(scheme, Fine):
         rows = scheme.rows
 
-        def build_fine(members: Sequence[int], total: int, square: int) -> MemberError:
-            alone = len(members) == 1
+        def fine(j: int, total: int, square: int, members: Sequence[int]) -> Number:
+            if j not in rows:
+                raise ValidationError(f"fine scheme has no row for player {j}")
+            row = rows[j]
+            _check_row(row, members)
+            err = local[j] if len(members) == 1 else _fine_member(j, row, config)
+            if err < _INF:
+                return err
+            raise _overflow(scheme, ns[j], total)
 
-            def fine(j: int) -> Number:
-                if j not in rows:
-                    raise ValidationError(f"fine scheme has no row for player {j}")
-                row = rows[j]
-                _check_row(row, members)
-                return local[j] if alone else _fine_member(j, row, config)
-
-            return fine
-
-        return build_fine
+        return Formula(fine, _listed)
     if isinstance(scheme, CoarseOptimal):
         mu, bias, _ = effective_mean_params(config)
 
-        def build_coarse_optimal(members: Sequence[int], total: int, square: int) -> MemberError:
-            if len(members) == 1:
-                return alone_error
-            return lambda j: _coarse_optimal_parts(
-                ns[j], total, _bias_integer(ns[j], total, square), mu, bias
-            )
+        def coarse_optimal(j: int, total: int, square: int, terms: None) -> Number:
+            n = ns[j]
+            if total != n:
+                # B_j inline (``_bias_integer``): this runs once per member a scan asks about
+                return _coarse_optimal_parts(n, total, square - n * n + (total - n) ** 2, mu, bias)
+            err = local[j]
+            if err < _INF:
+                return err
+            raise _overflow(scheme, n, total)
 
-        return build_coarse_optimal
+        return Formula(coarse_optimal, None)
     if isinstance(scheme, FineOptimal):
         mu, bias, v_of, inv = _optimal_fine_terms(config)
 
-        def build_fine_optimal(members: Sequence[int], total: int, square: int) -> MemberError:
-            if len(members) == 1:
-                return alone_error
-            return lambda j: _fine_mean_mse(
-                ns, j, _optimal_row(j, members, v_of, inv, bias), mu, bias
-            )
+        def fine_optimal(j: int, total: int, square: int, members: Sequence[int]) -> Number:
+            """The error at player j's optimal row (``_optimal_row``) in the
+            mean-estimation form of ``_fine_member``, with mu and bias from
+            ``effective_mean_params``, without building the row: the sum of
+            1/V_i over the other members, then each entry of the row as the
+            error's sums take it, j's first, in the same order and grouping."""
+            n = ns[j]
+            if total == n:
+                err = local[j]
+            else:
+                inv_sum = 0
+                for i in members:
+                    if i != j:
+                        inv_sum += inv[i]
+                v_j = v_of[j]
+                den = 1 + v_j * inv_sum
+                own = (1 + bias * inv_sum) / den
+                scale = v_j - bias
+                variance = mu * own * own / n
+                off = off_sq = 0
+                for i in members:
+                    if i != j:
+                        v = scale / (v_of[i] * den)
+                        variance += mu * v * v / ns[i]
+                        off += v
+                        off_sq += v * v
+                err = variance + bias * (off_sq + off * off)
+            if err < _INF:
+                return err
+            raise _overflow(scheme, n, total)
 
-        return build_fine_optimal
+        return Formula(fine_optimal, _listed)
     mu_e, bias_coef = config.mu_e, _bias_coef(config)
-    if config.linreg is None:
-        num = den = scaled = None
-    else:
+    global_variance = None
+    if config.linreg is not None:
         d = config.linreg.d
         num = [mu_e * n * n * d for n in ns]
         den = [n - d - 1 for n in ns]
         scaled = [n * n * d for n in ns]
-    if isinstance(scheme, Uniform):
 
-        def build_uniform(members: Sequence[int], total: int, square: int) -> MemberError:
+        def global_variance(members: Sequence[int], total: int) -> Optional[Number]:
+            """Variance of the coalition's sample-weighted model, from each
+            member's numerator mu_e*n_i*n_i*d and denominator n_i-d-1; None
+            for a member alone.
+
+            The integer divisor (n_i-d-1)*N*N is exact in any grouping, so
+            N*N is taken once; the terms are summed in member order.  A float
+            mu_e near the top of the float range overflows a numerator; only
+            then is the sum taken again with mu_e factored out of each
+            numerator (``scaled`` is n_i*n_i*d), so every finite result keeps
+            its bits."""
             if len(members) == 1:
-                return alone_error
-            if num is None:
-                variance = mu_e / total
-            else:
-                variance = _global_variance(members, total, mu_e, scaled, num, den)
+                return None
             square_total = total * total
-            return lambda j: (
-                variance + bias_coef * _bias_integer(ns[j], total, square) / square_total
+            variance = sum([num[i] / (den[i] * square_total) for i in members])
+            if variance < _INF:
+                return variance
+            variance = mu_e * sum([scaled[i] / (den[i] * square_total) for i in members])
+            if variance < _INF:
+                return variance
+            raise ValidationError(
+                f"linear-regression global variance overflows for mu_e={mu_e!r}, N={total}"
             )
 
-        return build_uniform
+    if isinstance(scheme, Uniform):
+
+        def uniform(j: int, total: int, square: int, variance: Optional[Number]) -> Number:
+            n = ns[j]
+            if total == n:
+                err = local[j]
+            else:
+                if variance is None:  # mean estimation: no shared term
+                    variance = mu_e / total
+                b = square - n * n + (total - n) ** 2  # B_j, ``_bias_integer``
+                err = variance + bias_coef * b / (total * total)
+            if err < _INF:
+                return err
+            raise _overflow(scheme, n, total)
+
+        return Formula(uniform, global_variance)
     if isinstance(scheme, Coarse):
         weights = scheme.weights
 
-        def build_coarse(members: Sequence[int], total: int, square: int) -> MemberError:
-            alone = len(members) == 1
-            global_var = None
-            if num is not None and not alone:
-                global_var = _global_variance(members, total, mu_e, scaled, num, den)
+        def coarse(j: int, total: int, square: int, global_var: Optional[Number]) -> Number:
+            if j not in weights:
+                raise ValidationError(f"coarse scheme has no weight for player {j}")
+            n = ns[j]
+            if total == n:
+                err = local[j]
+            else:
+                err = _coarse_member(n, weights[j], total, square, global_var, config)
+            if err < _INF:
+                return err
+            raise _overflow(scheme, n, total)
 
-            def coarse(j: int) -> Number:
-                if j not in weights:
-                    raise ValidationError(f"coarse scheme has no weight for player {j}")
-                if alone:
-                    return local[j]
-                return _coarse_member(ns[j], weights[j], total, square, global_var, config)
-
-            return coarse
-
-        return build_coarse
+        return Formula(coarse, global_variance)
     raise ValidationError(f"unknown federation scheme {scheme!r}")
 
 
@@ -367,15 +418,18 @@ def member_formula(
     """Player -> expected MSE inside the coalition ``members`` under scheme.
 
     ``members`` are distinct player indices in ascending order.  This checks
-    the coalition, takes its sample sums and hands them to the scheme's
-    ``scheme_formula`` builder: the one path to every coalition-member error.
+    the coalition, takes its sample sums and its shared term, and binds them
+    to the scheme's ``scheme_formula`` error: the one path to every
+    coalition-member error outside the stability scans.
     """
     if not members:
         raise ValidationError("coalition: must be non-empty")
     _check_player(min(members), config)
     _check_player(max(members), config)
     total, square = _sample_sums(members, config.players)
-    return scheme_formula(scheme, config)(members, total, square)
+    error, shared = scheme_formula(scheme, config)
+    terms = None if shared is None else shared(members, total)
+    return lambda j: error(j, total, square, terms)
 
 
 def coalition_errors(
@@ -478,7 +532,10 @@ def two_size_errors(
         if isinstance(scheme, Uniform):
             if total == n_j:
                 return mu_e / n_j
-            return mu_e / total + sigma_sq * b / (total * total)
+            err = mu_e / total + sigma_sq * b / (total * total)
+            if err < _INF:
+                return err
+            raise _overflow(scheme, n_j, total)
         return _coarse_optimal_parts(n_j, total, b, mu_e, sigma_sq)
 
     err_small = member_error(game.n_s) if small_count else None

@@ -147,12 +147,20 @@ class Coalition:
 
     @classmethod
     def from_mask(cls, mask: int) -> "Coalition":
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        return cls(tuple(members))
+        if not _is_count(mask) or mask < 0:
+            raise ValidationError(f"coalition mask must be a non-negative integer, got {mask!r}")
+        return cls(tuple(_mask_members(mask)))
+
+
+def _mask_members(mask: int) -> list[int]:
+    """The set bits of a non-negative mask in ascending order: the members
+    of the coalition it encodes, found lowest set bit by lowest set bit."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 @dataclass(frozen=True)

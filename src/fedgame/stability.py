@@ -5,10 +5,13 @@ Checks are exhaustive over candidate coalitions (player count capped) and,
 for two-size populations, count-symmetric so they scale to large counts.
 Member errors are computed per member, on demand: a candidate coalition is
 settled by its first member who does not gain, and the members after that
-one are never evaluated.  The scheme is resolved once per error table, and
-each coalition's members and sample sums come from the coalition without
-its lowest player, so a mask costs one formula build and the members asked
-about.
+one are never evaluated.  The scheme is resolved once per error table, to
+the ``errors.Formula`` of its closed form, and a coalition costs one direct
+call of that closed form per member asked about: its sample sums come from
+the coalition without its lowest player, its members are listed only for a
+scheme with a shared term, and that term is taken once per visit.  The
+table (``_ErrorTable``) keeps, per mask reached, its sums and each member
+error asked about, in flat dicts keyed by mask.
 
 The scans work on a partition as its tuple of block bitmasks: the public
 verdicts convert their ``Partition`` once, and the stable-set search walks
@@ -26,7 +29,7 @@ absolute floor recognizes the designed boundary ties (n = mu_e/sigma_sq).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .errors import _sample_sums, scheme_formula, two_size_errors
 
@@ -49,6 +52,7 @@ from .model import (
     TwoSizeGame,
     ValidationError,
     _check_finite,
+    _mask_members,
     _partition_masks,
     check_profiles,
     check_two_size_config,
@@ -116,21 +120,27 @@ class StabilityVerdict:
 
 
 class _ErrorTable:
-    """Member errors per coalition, keyed by membership bitmask, computed
-    per member on demand.
+    """Member errors keyed by player and coalition bitmask, computed per
+    member on demand.
 
-    The scheme is resolved once, in ``__init__``: ``build`` is the
-    ``errors.scheme_formula`` builder, which takes a coalition's members
-    and sample sums N and Q and returns its per-member formula.  The memo
-    holds, for each mask visited, ``(members, values, N, Q)``: the members
-    in ascending order, a player -> error dict that holds only the members
-    asked about so far, and the sums.  ``add`` takes all three from the
-    entry of the mask without its lowest player, when that entry exists (it
-    always does in an ascending scan): integer sums are exact in any order.
-    A coalition's shared terms are built at most once per visit, and only
-    when a member asked about is missing.  The scans read ``memo`` and fill
-    ``values`` inline, without a method call per member: they run once per
-    partition in a stable-set search.
+    The scheme is resolved once, in ``__init__``, to the ``errors.Formula``
+    ``(error, shared)``.  ``memo[j]`` maps a mask to player j's error in its
+    coalition.  ``coalitions`` maps a mask to ``(N, Q, members)``: its sample
+    sums and, only for a scheme with a shared term, its member list in
+    ascending order (else None).  A mask gets that entry the first time a
+    member error in it is computed, so every mask with a memoized error has
+    one; nothing is stored before a scan reaches it.  The shared term is
+    taken at most once per visit to a mask, when a member asked about is
+    missing.
+
+    ``_blocking_coalition`` visits masks in ascending order, so the mask
+    without its lowest player always has its entry: the scan extends it
+    inline (integer sums are exact in any order; mask 0's entry is empty).
+    The other callers go through ``coalition``, which starts from the
+    members.  The scans read and fill ``memo`` inline, without a method call
+    per coalition or member: they run once per partition in a stable-set
+    search.  ``filled`` keeps each partition block's whole error dict, which
+    every later partition with that block reads again.
     """
 
     def __init__(
@@ -144,39 +154,46 @@ class _ErrorTable:
         if prefs.exact:
             config = exact_config(config)
             scheme = exact_scheme(scheme)
-        self.build = scheme_formula(scheme, config)
-        self._ns = config.players
-        self.memo: dict[int, tuple[list[int], dict[int, Number], int, int]] = {}
+        self.error, self.shared = scheme_formula(scheme, config)
+        self.ns = config.players
+        self.coalitions: dict[int, tuple[int, int, Optional[list[int]]]] = {
+            0: (0, 0, None if self.shared is None else [])
+        }
+        self.memo: list[dict[int, Number]] = [{} for _ in config.players]
+        self._blocks: dict[int, dict[int, Number]] = {}
 
-    def add(self, mask: int) -> tuple[list[int], dict[int, Number], int, int]:
-        """A new memo entry for the mask, with no member errors yet."""
-        low = mask & -mask
-        rest = self.memo.get(mask ^ low)
-        if rest is None:
-            members = [j for j in range(len(self._ns)) if mask >> j & 1]
-            total, square = _sample_sums(members, self._ns)
-        else:
-            j = low.bit_length() - 1
-            n = self._ns[j]
-            members = [j] + rest[0]
-            total, square = rest[2] + n, rest[3] + n * n
-        entry = self.memo[mask] = (members, {}, total, square)
-        return entry
+    def coalition(self, mask: int) -> tuple[int, int, Any]:
+        """The mask's sample sums N and Q and its shared term."""
+        entry = self.coalitions.get(mask)
+        if entry is None:
+            members = _mask_members(mask)
+            total, square = _sample_sums(members, self.ns)
+            entry = self.coalitions[mask] = (
+                total, square, None if self.shared is None else members
+            )
+        total, square, members = entry
+        return total, square, None if members is None else self.shared(members, total)
 
     def filled(self, mask: int) -> dict[int, Number]:
-        """Every member's error in the mask's coalition."""
-        members, values, total, square = self.memo.get(mask) or self.add(mask)
-        if len(values) < len(members):
-            error_of = self.build(members, total, square)
-            for j in members:
-                if j not in values:
-                    values[j] = error_of(j)
+        """Every member's error in the mask's coalition, by player."""
+        values = self._blocks.get(mask)
+        if values is None:
+            total = None
+            values = {}
+            for j in _mask_members(mask):
+                err = self.memo[j].get(mask)
+                if err is None:
+                    if total is None:
+                        total, square, terms = self.coalition(mask)
+                    err = self.memo[j][mask] = self.error(j, total, square, terms)
+                values[j] = err
+            self._blocks[mask] = values
         return values
 
     def current_errors(self, masks: Sequence[int]) -> list[Number]:
         """Every player's error in its own coalition, indexed by player,
         given the partition's block masks."""
-        current: list[Number] = [0] * len(self._ns)
+        current: list[Number] = [0] * len(self.ns)
         for mask in masks:
             for j, err in self.filled(mask).items():
                 current[j] = err
@@ -217,24 +234,46 @@ def _blocking_coalition(
     A strict gain is also a weak one (``PreferenceOrder.bounds``).
     """
     lower, upper = prefs.bounds(table.current_errors(masks))
-    memo_get, add, build = table.memo.get, table.add, table.build
+    error, shared, memo = table.error, table.shared, table.memo
+    coalitions, ns = table.coalitions, table.ns
     for mask in range(1, 1 << m):
-        members, values, total, square = memo_get(mask) or add(mask)
-        error_of = None
+        low = mask & -mask
+        j = low.bit_length() - 1
+        rest = mask ^ low
+        total = None
         strict = False
-        for j in members:
-            err = values.get(j)
+        while True:
+            err = memo[j].get(mask)
             if err is None:
-                if error_of is None:
-                    error_of = build(members, total, square)
-                err = values[j] = error_of(j)
+                if total is None:
+                    entry = coalitions.get(mask)
+                    if entry is None:
+                        # extend the entry of the mask without its lowest
+                        # player, visited earlier in this scan
+                        bottom = mask & -mask
+                        i = bottom.bit_length() - 1
+                        total, square, members = coalitions[mask ^ bottom]
+                        n = ns[i]
+                        total += n
+                        square += n * n
+                        if members is not None:
+                            members = [i] + members
+                        coalitions[mask] = total, square, members
+                    else:
+                        total, square, members = entry
+                    terms = None if members is None else shared(members, total)
+                err = memo[j][mask] = error(j, total, square, terms)
             if err < lower[j]:
                 strict = True
             elif not (strict_notion and err <= upper[j]):
                 break
-        else:
-            if strict:
-                return mask
+            if not rest:
+                if strict:
+                    return mask
+                break
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
     return None
 
 
@@ -298,7 +337,7 @@ def _individual_deviation(
     each coalition a mover could join, the mover's error is computed first,
     then each host's in ascending order until one host would lose."""
     lower, upper = prefs.bounds(table.current_errors(masks))
-    memo_get, add, build = table.memo.get, table.add, table.build
+    error, coalition, memo = table.error, table.coalition, table.memo
     for i in range(m):
         bit = 1 << i
         own = bit
@@ -307,22 +346,19 @@ def _individual_deviation(
                 own = host_mask
                 continue
             joined = host_mask | bit
-            members, values, total, square = memo_get(joined) or add(joined)
-            err = values.get(i)
-            error_of = None
+            total = None
+            err = memo[i].get(joined)
             if err is None:
-                error_of = build(members, total, square)
-                err = values[i] = error_of(i)
+                total, square, terms = coalition(joined)
+                err = memo[i][joined] = error(i, total, square, terms)
             if not err < lower[i]:
                 continue
-            for j in members:
-                if j == i:
-                    continue
-                err = values.get(j)
+            for j in _mask_members(host_mask):
+                err = memo[j].get(joined)
                 if err is None:
-                    if error_of is None:
-                        error_of = build(members, total, square)
-                    err = values[j] = error_of(j)
+                    if total is None:
+                        total, square, terms = coalition(joined)
+                    err = memo[j][joined] = error(j, total, square, terms)
                 if not err <= upper[j]:
                     break
             else:

@@ -9,6 +9,7 @@ from fedgame import (
     Coarse,
     CoarseOptimal,
     Fine,
+    FineOptimal,
     GameConfig,
     LinRegSpec,
     Local,
@@ -320,3 +321,40 @@ def test_linreg_global_variance_survives_a_numerator_overflow(scheme):
     big = GameConfig((6, 6), 1.7e308, 1, LinRegSpec(4, 1))
     with pytest.raises(ValidationError, match="overflows"):
         coalition_errors(Coalition((0, 1)), scheme, big)
+
+
+@pytest.mark.parametrize(
+    "config, scheme, coalition",
+    [
+        # mu_e*d overflows in the local error and in the coarse member's
+        # mu_e*(w*w + ...)*d
+        (GameConfig((6, 200), 1e308, 1, LinRegSpec(4, 1)), Coarse({0: 0.9, 1: 1}), (0,)),
+        (GameConfig((6, 200), 1e308, 1, LinRegSpec(4, 1)), Coarse({0: 0.9, 1: 1}), (0, 1)),
+        (GameConfig((6, 200), 1e308, 1, LinRegSpec(4, 1)), Local(), (0,)),
+        # sigma_sq*B_j overflows
+        (GameConfig((5, 5), 1, 1e308), Uniform(), (0, 1)),
+        # ... and times (1-w)**2 = 0 it is NaN, not infinite
+        (GameConfig((5, 5), 1, 1e308), Coarse({0: 1, 1: 1}), (0, 1)),
+        # V_i = sigma_sq + mu_e/n_i overflows, and the optimal row is NaN
+        (GameConfig((1, 1), 1e308, 1e308), FineOptimal(), (0, 1)),
+        # mu_e times a squared row weight overflows
+        (GameConfig((1, 1), 1e300, 1), Fine({0: {0: 2.0**52, 1: 1 - 2.0**52}}), (0, 1)),
+    ],
+)
+def test_a_float_member_error_that_overflows_is_refused(config, scheme, coalition):
+    with pytest.raises(ValidationError, match="overflow"):
+        coalition_member_mse(0, Coalition(coalition), scheme, config)
+    partition = Partition.singletons(2) if len(coalition) == 1 else Partition.grand(2)
+    with pytest.raises(ValidationError, match="overflow"):
+        player_errors(partition, scheme, config)
+
+
+def test_a_two_size_profile_error_that_overflows_is_refused():
+    game = TwoSizeGame(n_s=5, n_l=20, S=2, L=1)
+    with pytest.raises(ValidationError, match="overflow"):
+        two_size_errors(game, 2, 1, 1, 1e308, Uniform())
+    # below the overflow, every value keeps its bits
+    assert two_size_errors(game, 2, 1, 1, 1e300, Uniform()) == (
+        1 / 30 + 1e300 * (25 + 400 + 25**2) / 900,
+        1 / 30 + 1e300 * (50 + 10**2) / 900,
+    )

@@ -88,6 +88,14 @@ def test_coalition_rejects_empty_and_negative():
         Coalition((-1, 2))
 
 
+@pytest.mark.parametrize("mask", [-1, -6, True, False, 3.0, "3", None, 0])
+def test_from_mask_refuses_a_mask_that_is_not_a_positive_integer(mask):
+    # -1 used to loop forever (-1 & -(-1) never clears a bit), and True
+    # used to give Coalition((0,)).
+    with pytest.raises(ValidationError):
+        Coalition.from_mask(mask)
+
+
 def test_partition_canonical_order_and_validation():
     p = Partition.from_blocks([[2], [0, 1]])
     assert [c.members for c in p.coalitions] == [(0, 1), (2,)]

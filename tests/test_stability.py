@@ -7,6 +7,7 @@ import pytest
 
 from fedgame import (
     Coalition,
+    Coarse,
     CoarseOptimal,
     Fine,
     GameConfig,
@@ -28,7 +29,7 @@ from fedgame import (
     two_size_weak_blocking_search,
 )
 from fedgame import stability
-from fedgame.errors import scheme_formula
+from fedgame.errors import Formula, scheme_formula
 from fedgame.stability import Deviation, PreferenceOrder
 import oracles
 
@@ -152,6 +153,33 @@ def test_large_mu_e_linreg_verdicts_agree_in_both_modes(partition, notion, witne
     assert (verdict.stable, verdict.witness) == (witness is None, witness)
 
 
+@pytest.mark.parametrize(
+    "notion, witness",
+    [
+        ("core", None),  # b's error in {a,b} equals b's alone (w = 1)
+        ("strict", Coalition((0, 1))),
+        ("individual", Deviation(0, Coalition((0, 1)))),
+    ],
+)
+def test_a_float_verdict_on_overflowing_errors_is_refused(notion, witness):
+    # mu_e*d overflows in player a's local error and in the coarse member
+    # formula, so in floats a seemed to gain nothing in {a,b}.  Exact errors
+    # are finite: a gets about 3.3e308 in {a,b} against 4e308 alone.
+    config = GameConfig((6, 200), 1e308, 1, LinRegSpec(4, 1))
+    scheme = Coarse({0: 0.9, 1: 1})
+    verdict = {
+        "core": is_core_stable,
+        "strict": is_strict_core_stable,
+        "individual": is_individually_stable,
+    }[notion]
+    with pytest.raises(ValidationError, match="overflow"):
+        verdict(Partition.singletons(2), scheme, config)
+    with pytest.raises(ValidationError, match="overflow"):
+        find_stable_partitions(config, scheme, notion)
+    exact = verdict(Partition.singletons(2), scheme, config, PreferenceOrder(exact=True))
+    assert (exact.stable, exact.witness) == (witness is None, witness)
+
+
 def test_non_finite_config_refused_before_any_verdict():
     # No verdict or search can be asked about these games: their configs
     # are refused when built.
@@ -164,25 +192,26 @@ def test_non_finite_config_refused_before_any_verdict():
 def _formula_seam(monkeypatch):
     """Patch the scans' formula seam, ``stability.scheme_formula``.  Count
     scheme resolutions, coalition builds (their masks) and member
-    evaluations per mask."""
+    evaluations per mask.  The counting formula gives every scheme a shared
+    term, the coalition's mask beside the scheme's own term, so a build is a
+    scan's first member evaluation in a visit to a mask."""
     seam = SimpleNamespace(resolved=0, built=[], evaluated={})
 
     def resolve(scheme, cfg):
         seam.resolved += 1
-        build = scheme_formula(scheme, cfg)
+        error, shared = scheme_formula(scheme, cfg)
 
-        def counting_build(members, total, square):
+        def counting_shared(members, total):
             mask = sum(1 << j for j in members)
             seam.built.append(mask)
-            error_of = build(members, total, square)
+            return mask, None if shared is None else shared(members, total)
 
-            def counted(j):
-                seam.evaluated[mask] = seam.evaluated.get(mask, 0) + 1
-                return error_of(j)
+        def counted(j, total, square, terms):
+            mask, own = terms
+            seam.evaluated[mask] = seam.evaluated.get(mask, 0) + 1
+            return error(j, total, square, own)
 
-            return counted
-
-        return counting_build
+        return Formula(counted, counting_shared)
 
     monkeypatch.setattr(stability, "scheme_formula", resolve)
     return seam

@@ -1,6 +1,7 @@
 """Property tests: every stability verdict re-verifies against the error
 layer, in float and exact modes, under every notion; the scans' error table
-equals the error layer; and the two modes agree away from ties."""
+equals the error layer; the two modes agree away from ties; and the two-size
+profile searches agree with the labelled verdicts."""
 
 import pytest
 
@@ -14,6 +15,7 @@ from fedgame import (
     FineOptimal,
     Local,
     Partition,
+    TwoSizeGame,
     Uniform,
     coalition_errors,
     exact_config,
@@ -22,8 +24,12 @@ from fedgame import (
     is_core_stable,
     is_individually_stable,
     is_strict_core_stable,
+    two_size_blocking_search,
+    two_size_game_config,
+    two_size_individually_stable,
+    two_size_weak_blocking_search,
 )
-from fedgame.stability import Deviation, PreferenceOrder, _ErrorTable
+from fedgame.stability import Deviation, PreferenceOrder, _ErrorTable, _blocking_coalition
 from test_config_properties import MAX_COUNT, PROPERTY_SETTINGS, build, config_arguments
 
 
@@ -148,15 +154,20 @@ def _typed(errors):
 @PROPERTY_SETTINGS
 @given(tables(), st.randoms(use_true_random=False))
 def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
-    # Ascending, every mask's sums come from the mask without its lowest
-    # player; shuffled, some masks are read directly.
+    # ``filled`` takes each mask's sums and shared term from its members, in
+    # ascending or shuffled order; after a blocking scan, the masks it
+    # reached hold what the scan computed from the mask without their
+    # lowest player, which ``filled`` reads back.
     config, scheme, prefs = table_game
     errors_of = _error_layer(config, scheme, prefs)
-    ascending = range(1, 1 << len(config.players))
+    m = len(config.players)
+    ascending = range(1, 1 << m)
     shuffled = list(ascending)
     rng.shuffle(shuffled)
-    for order in (ascending, shuffled):
+    for order, scanned in ((ascending, False), (shuffled, False), (ascending, True)):
         table = _ErrorTable(config, scheme, prefs)
+        if scanned:
+            _blocking_coalition(((1 << m) - 1,), m, table, prefs, strict_notion=True)
         for mask in order:
             expected = errors_of(Coalition.from_mask(mask))
             assert _typed(table.filled(mask)) == _typed(expected), mask
@@ -186,3 +197,108 @@ def test_exact_and_float_verdicts_agree_away_from_ties(game, allow_singleton_dev
         in_float = verdict(PreferenceOrder())
         in_exact = verdict(PreferenceOrder(exact=True))
         assert (in_float.stable, in_float.witness) == (in_exact.stable, in_exact.witness)
+
+
+@st.composite
+def two_size_games(draw):
+    """(game, config, partition, scheme, prefs): a two-size population of at
+    most 6 players, smalls first, and a random labelled partition of it.
+    Half the draws put a size class at the threshold mu_e/sigma_sq, where
+    its players tie between coalitions."""
+    S = draw(st.integers(0, 6))
+    L = draw(st.integers(0 if S else 1, 6 - S))
+    n_s = draw(st.integers(1, 40))
+    n_l = draw(st.integers(n_s + 1, 80))
+    sigma_sq = draw(st.integers(1, 5))
+    mu_e = draw(
+        st.sampled_from([n_s * sigma_sq, n_l * sigma_sq])
+        | st.integers(1, 400)
+        | st.floats(1.0, 400.0)
+    )
+    game = TwoSizeGame(n_s, n_l, S, L)
+    config = two_size_game_config(game, mu_e, sigma_sq)
+    m = S + L
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    blocks = [[j for j in range(m) if labels[j] == b] for b in sorted(set(labels))]
+    scheme = draw(st.sampled_from([Uniform(), CoarseOptimal()]))
+    prefs = PreferenceOrder(exact=draw(st.booleans()))
+    return game, config, Partition.from_blocks(blocks), scheme, prefs
+
+
+def _profile(coalition, S):
+    """A labelled coalition's (smalls, larges) composition."""
+    smalls = sum(1 for j in coalition if j < S)
+    return smalls, len(coalition) - smalls
+
+
+@PROPERTY_SETTINGS
+@given(two_size_games(), st.booleans())
+def test_two_size_blocking_searches_agree_with_the_labelled_verdicts(case, strict_notion):
+    """A profile search finds a blocking profile exactly when the labelled
+    verdict on any expansion of the arrangement is blocked, and a labelled
+    coalition of the profile's composition blocks."""
+    game, config, partition, scheme, prefs = case
+    profiles = [_profile(c, game.S) for c in partition.coalitions]
+    search = two_size_weak_blocking_search if strict_notion else two_size_blocking_search
+    found = search(game, profiles, scheme, config, prefs)
+    verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
+        partition, scheme, config, prefs
+    )
+    assert (found is None) == verdict.stable, (found, verdict)
+    if found is not None:
+        errors_of = _error_layer(config, scheme, prefs)
+        current = _current(errors_of, partition)
+        witnesses = [
+            Coalition.from_mask(mask)
+            for mask in range(1, 1 << len(config.players))
+            if _profile(Coalition.from_mask(mask), game.S) == found
+        ]
+        assert any(
+            _blocks(errors_of, current, prefs, c, strict_notion) for c in witnesses
+        ), found
+
+
+@PROPERTY_SETTINGS
+@given(two_size_games(), st.booleans())
+def test_two_size_individual_search_agrees_with_the_labelled_verdict(
+    case, allow_singleton_deviation
+):
+    """A profile deviation exists exactly when the labelled verdict finds
+    one, and a labelled player of its role, in a block of its source
+    composition, can make it."""
+    game, config, partition, scheme, prefs = case
+    profiles = [_profile(c, game.S) for c in partition.coalitions]
+    found = two_size_individually_stable(
+        game, profiles, scheme, config, prefs, allow_singleton_deviation
+    )
+    verdict = is_individually_stable(
+        partition, scheme, config, prefs, allow_singleton_deviation
+    )
+    assert (found is None) == verdict.stable, (found, verdict)
+    if found is None:
+        return
+    errors_of = _error_layer(config, scheme, prefs)
+    current = _current(errors_of, partition)
+    role = 0 if found.role == "small" else 1
+    movers = [
+        j for j in range(len(config.players))
+        if (j >= game.S) == role and _profile(partition.coalition_of(j), game.S) == found.source
+    ]
+    alone = found.target == ((1, 0) if role == 0 else (0, 1))
+
+    def deviates(mover, hosts):
+        target = Coalition((mover, *hosts))
+        errs = errors_of(target)
+        return prefs.strictly_less(errs[mover], current[mover]) and all(
+            prefs.weakly_less(errs[j], current[j]) for j in hosts
+        )
+
+    deviations = [
+        (mover, host.members)
+        for mover in movers
+        for host in partition.coalitions
+        if mover not in host and _profile(Coalition((mover, *host.members)), game.S) == found.target
+    ]
+    if alone and allow_singleton_deviation and sum(found.source) > 1:
+        deviations += [(mover, ()) for mover in movers]
+    assert any(deviates(mover, hosts) for mover, hosts in deviations), found

@@ -124,7 +124,13 @@ def format_profiles(profiles: Sequence[tuple[int, int]]) -> str:
 
 
 def fmt_num(value: Number) -> str:
-    return f"{float(value):.6f}"
+    """Six decimals of a float, or of an exact value's float; an exact value
+    beyond the float range is rounded to six decimals by itself."""
+    try:
+        return f"{float(value):.6f}"
+    except OverflowError:
+        units, micros = divmod(round(abs(value) * 1_000_000), 1_000_000)
+        return f"{'-' if value < 0 else ''}{units}.{micros:06d}"
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
@@ -284,7 +290,11 @@ class Inputs:
                     _check_finite(f"linreg.coef_variances[{k}]", value)
                 self.coef_variances = list(coef)
                 if bias is None:
-                    bias = sum(coef)
+                    # left to right: from CPython 3.12 on, sum() compensates
+                    # float rounding
+                    bias = 0
+                    for value in coef:
+                        bias += value
             if bias is None:
                 raise ValidationError("linreg needs sigma_bias_sq or coef_variances")
             linreg = LinRegSpec(d=_strict_int(raw_linreg.get("d"), "linreg.d"), sigma_bias_sq=bias)

@@ -166,17 +166,22 @@ def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Numb
 
 def _fine_member(j: int, row: Mapping[int, Number], config: GameConfig) -> Number:
     """Fine-grained MSE of player j with weight row ``row``: the variance
-    terms in row order, then the bias term from the other members' weights."""
+    terms in row order, then the bias term from the other members' weights.
+    Each sum is taken left to right (see ``_optimal_row``)."""
     ns = config.players
+    mu_e = config.mu_e
+    variance = off = off_sq = 0
     if config.linreg is None:
-        variance = sum(config.mu_e * v * v / ns[i] for i, v in row.items())
+        for i, v in row.items():
+            variance += mu_e * v * v / ns[i]
     else:
         d = config.linreg.d
-        variance = sum(
-            config.mu_e * v * v * d / (ns[i] - d - 1) for i, v in row.items()
-        )
-    off = sum((v for i, v in row.items() if i != j), start=0)
-    off_sq = sum((v * v for i, v in row.items() if i != j), start=0)
+        for i, v in row.items():
+            variance += mu_e * v * v * d / (ns[i] - d - 1)
+    for i, v in row.items():
+        if i != j:
+            off += v
+            off_sq += v * v
     return variance + _bias_coef(config) * (off_sq + off * off)
 
 
@@ -202,9 +207,14 @@ def _optimal_row(
 
     The sum of 1/V_i over the other members is taken afresh for each j, in
     member order: subtracting 1/V_j from a shared total would change the
-    last bits of the result.
+    last bits of the result.  It is a left-to-right loop, as is every float
+    sum here: from CPython 3.12 on, ``sum()`` compensates float rounding,
+    and the result would depend on the version.
     """
-    inv_sum = sum(inv[i] for i in members if i != j)
+    inv_sum = 0
+    for i in members:
+        if i != j:
+            inv_sum += inv[i]
     den = 1 + v_of[j] * inv_sum
     row: dict[int, Number] = {j: (1 + bias * inv_sum) / den}
     for k in members:
@@ -290,7 +300,11 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 raise ValidationError(f"fine scheme has no row for player {j}")
             row = rows[j]
             _check_row(row, members)
-            err = local[j] if len(members) == 1 else _fine_member(j, row, config)
+            try:
+                err = local[j] if len(members) == 1 else _fine_member(j, row, config)
+            except OverflowError:
+                # an int or Fraction term too large for a float
+                err = _INF
             if err < _INF:
                 return err
             raise _overflow(scheme, ns[j], total)
@@ -367,10 +381,15 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             if len(members) == 1:
                 return None
             square_total = total * total
-            variance = sum([num[i] / (den[i] * square_total) for i in members])
+            variance = 0
+            for i in members:
+                variance += num[i] / (den[i] * square_total)
             if variance < _INF:
                 return variance
-            variance = mu_e * sum([scaled[i] / (den[i] * square_total) for i in members])
+            variance = 0
+            for i in members:
+                variance += scaled[i] / (den[i] * square_total)
+            variance = mu_e * variance
             if variance < _INF:
                 return variance
             raise ValidationError(
@@ -489,7 +508,8 @@ def player_errors(
     values: dict[int, Number] = {}
     for coalition in partition.coalitions:
         for j, err in coalition_errors(coalition, scheme, config).items():
-            if err < 0 or not math.isfinite(float(err)):
+            # not float(err): an exact error may lie beyond the float range
+            if not 0 <= err < _INF:
                 raise ValidationError(f"player {j}: computed MSE {err!r} is not usable")
             values[j] = err
     note = None

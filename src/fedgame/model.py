@@ -4,15 +4,24 @@ A game is a population of players, each holding ``n_i`` samples, plus two
 distribution summaries: ``mu_e`` (expected sampling-noise variance) and
 ``sigma_sq`` (variance of the true parameters across players).  Everything
 else in the package is a pure function of these values.
+
+Coalitions and partitions carry their bitmasks (bit j for player j), which
+is what the stability scans and the partition enumeration work on.  A
+``Partition`` stores its block masks, sorted by lowest bit, and checks them
+with bit operations; it builds its ``Coalition`` objects only when
+``coalitions`` is first read.  A ``Coalition`` caches its mask, and one
+built from a mask lists its members once, unchecked, since a mask's set
+bits are already distinct and ascending.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -109,25 +118,44 @@ def _check_finite(name: str, value: object) -> None:
 
 
 def check_row_sum(row: Mapping[int, Number], what: str) -> None:
-    """A weight row must sum to 1 within ROW_SUM_TOL; a NaN entry fails."""
-    total = sum(row.values())
+    """A weight row must sum to 1 within ROW_SUM_TOL; a NaN entry fails.
+
+    The entries are added left to right: from CPython 3.12 on, ``sum()``
+    compensates float rounding, and the total would depend on the version.
+    """
+    total = 0
+    for v in row.values():
+        total += v
     if not abs(total - 1) <= ROW_SUM_TOL:
         raise ValidationError(f"{what} sums to {total!r}, expected 1")
 
 
 @dataclass(frozen=True, order=True)
 class Coalition:
-    """A non-empty set of player indices, stored sorted."""
+    """A non-empty set of player indices, stored sorted.
+
+    ``mask`` (bit j set for member j) is computed on first read and cached;
+    ``from_mask`` sets it at construction.
+    """
+
+    __slots__ = ("members", "_mask")
 
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(sorted(set(self.members)))
+        members = set(self.members)
         if not members:
             raise ValidationError("coalition: must be non-empty")
+        for j in members:
+            if not _is_count(j):
+                raise ValidationError(f"coalition: player index {j!r} is not an integer")
+        members = tuple(sorted(members))
         if members[0] < 0:
             raise ValidationError(f"coalition: negative player index in {members}")
         object.__setattr__(self, "members", members)
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.members,)
 
     def __contains__(self, player: int) -> bool:
         return player in self.members
@@ -140,16 +168,34 @@ class Coalition:
 
     @property
     def mask(self) -> int:
-        bits = 0
-        for j in self.members:
-            bits |= 1 << j
-        return bits
+        try:
+            return self._mask
+        except AttributeError:
+            bits = 0
+            for j in self.members:
+                bits |= 1 << j
+            _set_mask(self, bits)
+            return bits
 
     @classmethod
     def from_mask(cls, mask: int) -> "Coalition":
-        if not _is_count(mask) or mask < 0:
-            raise ValidationError(f"coalition mask must be a non-negative integer, got {mask!r}")
-        return cls(tuple(_mask_members(mask)))
+        if not _is_count(mask) or mask < 1:
+            raise ValidationError(f"coalition mask must be a positive integer, got {mask!r}")
+        return cls._trusted(mask)
+
+    @classmethod
+    def _trusted(cls, mask: int) -> "Coalition":
+        """The coalition of a positive mask, unchecked: its set bits are
+        already distinct, ascending player indices."""
+        coalition = object.__new__(cls)
+        _set_members(coalition, tuple(_mask_members(mask)))
+        _set_mask(coalition, mask)
+        return coalition
+
+
+# slot setters, which bypass the frozen __setattr__
+_set_members = Coalition.members.__set__
+_set_mask = Coalition._mask.__set__
 
 
 def _mask_members(mask: int) -> list[int]:
@@ -163,31 +209,95 @@ def _mask_members(mask: int) -> list[int]:
     return members
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1 << 12)
+def _block(mask: int) -> Coalition:
+    """The coalition of a partition's block mask, unchecked.  Coalitions
+    are immutable, so every partition that reads a mask back shares one."""
+    return Coalition._trusted(mask)
+
+
+def _player_count(masks: tuple[int, ...]) -> int:
+    """The player count m of block masks that are pairwise disjoint and
+    together cover players 0..m-1; a partition error otherwise."""
+    if not masks:
+        raise ValidationError("partition: must have at least one coalition")
+    seen = 0
+    for mask in masks:
+        both = seen & mask
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise ValidationError(f"partition: player {j} appears in two coalitions")
+        seen |= mask
+    if seen & (seen + 1):
+        raise ValidationError(
+            f"partition: members {_mask_members(seen)} do not cover 0..{seen.bit_count() - 1}"
+        )
+    return seen.bit_length()
+
+
 class Partition:
-    """Disjoint coalitions covering players 0..m-1, sorted by least member."""
+    """Disjoint coalitions covering players 0..m-1, sorted by least member.
 
-    coalitions: tuple[Coalition, ...]
+    A partition is its block bitmasks, ``masks``, sorted by lowest bit, with
+    ``player_count`` m.  ``coalitions`` is built from the masks on first
+    read and cached (a partition built from coalitions keeps them).
+    Equality and hashing are those of ``masks``, which are in one-to-one
+    correspondence with ``coalitions``.  Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        coals = tuple(sorted(self.coalitions, key=lambda c: c.members[0]))
-        object.__setattr__(self, "coalitions", coals)
-        seen: set[int] = set()
-        total = 0
-        for c in coals:
-            for j in c:
-                if j in seen:
-                    raise ValidationError(f"partition: player {j} appears in two coalitions")
-                seen.add(j)
-            total += len(c)
-        if seen != set(range(total)):
-            raise ValidationError(
-                f"partition: members {sorted(seen)} do not cover 0..{total - 1}"
-            )
+    __slots__ = ("masks", "player_count", "_coalitions")
+
+    masks: tuple[int, ...]
+    player_count: int
+
+    def __new__(cls, coalitions: Iterable[Coalition]) -> "Partition":
+        coals = tuple(sorted(coalitions, key=lambda c: c.members[0]))
+        masks = tuple(c.mask for c in coals)
+        return cls._trusted(masks, _player_count(masks), coals)
+
+    @classmethod
+    def _trusted(
+        cls,
+        masks: tuple[int, ...],
+        player_count: int,
+        coalitions: tuple[Coalition, ...] | None = None,
+    ) -> "Partition":
+        """The partition with these block masks, unchecked: they are
+        positive, sorted by lowest bit, disjoint and cover 0..player_count-1.
+        Every ``Partition`` is made here."""
+        partition = object.__new__(cls)
+        _set_masks(partition, masks)
+        _set_player_count(partition, player_count)
+        _set_coalitions(partition, coalitions)
+        return partition
 
     @property
-    def player_count(self) -> int:
-        return sum(len(c) for c in self.coalitions)
+    def coalitions(self) -> tuple[Coalition, ...]:
+        coals = self._coalitions
+        if coals is None:
+            coals = tuple(map(_block, self.masks))
+            _set_coalitions(self, coals)
+        return coals
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.masks == other.masks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.masks)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(coalitions={self.coalitions!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__.from_masks, (self.masks,)
 
     def coalition_of(self, player: int) -> Coalition:
         for c in self.coalitions:
@@ -200,8 +310,30 @@ class Partition:
         return cls(tuple(Coalition(tuple(b)) for b in blocks))
 
     @classmethod
-    def from_masks(cls, masks: Sequence[int]) -> "Partition":
-        return cls(tuple(Coalition.from_mask(mask) for mask in masks))
+    def from_masks(cls, masks: Iterable[int]) -> "Partition":
+        """The partition with these block masks, in any order; each must be
+        a positive ``int`` (not ``bool``)."""
+        masks = tuple(masks)
+        seen = overlap = least = 0
+        ordered = True
+        for mask in masks:
+            # an exact int needs no _is_count call; a bool or non-int is
+            # refused before it is compared
+            if (mask.__class__ is not int and not _is_count(mask)) or mask < 1:
+                raise ValidationError(
+                    f"partition: block mask must be a positive integer, got {mask!r}"
+                )
+            low = mask & -mask
+            if low < least:
+                ordered = False
+            least = low
+            overlap |= seen & mask
+            seen |= mask
+        if not ordered:
+            masks = tuple(sorted(masks, key=lambda mask: mask & -mask))
+        if overlap or not masks or seen & (seen + 1):
+            _player_count(masks)  # raises, naming the first fault
+        return cls._trusted(masks, seen.bit_length())
 
     @classmethod
     def grand(cls, m: int) -> "Partition":
@@ -210,6 +342,12 @@ class Partition:
     @classmethod
     def singletons(cls, m: int) -> "Partition":
         return cls.from_blocks([[j] for j in range(m)])
+
+
+# slot setters, which bypass the refusing __setattr__
+_set_masks = Partition.masks.__set__
+_set_player_count = Partition.player_count.__set__
+_set_coalitions = Partition._coalitions.__set__
 
 
 @dataclass(frozen=True)
@@ -395,7 +533,7 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
         raise CapExceededError(
             f"enumerate_partitions: m={m} exceeds cap {MAX_PARTITION_PLAYERS}"
         )
-    return (Partition.from_masks(masks) for masks in _partition_masks(m))
+    return (Partition._trusted(masks, m) for masks in _partition_masks(m))
 
 
 def enumerate_coalitions(m: int) -> Iterator[Coalition]:

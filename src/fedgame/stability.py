@@ -14,11 +14,13 @@ table (``_ErrorTable``) keeps, per mask reached, its sums and each member
 error asked about, in flat dicts keyed by mask.
 
 The scans work on a partition as its tuple of block bitmasks: the public
-verdicts convert their ``Partition`` once, and the stable-set search walks
-the mask tuples of ``model._partition_masks`` and builds a ``Partition``
-only for each partition it returns.  Each scan computes every player's
-strict and weak bounds once per partition (``PreferenceOrder.bounds``) and
-compares member errors against them inline.
+verdicts read their ``Partition``'s ``masks``, and the stable-set search
+walks the mask tuples of ``model._partition_masks`` and builds a
+``Partition`` from its masks only for each partition it returns.  A
+verdict builds no ``Coalition`` but its witness.  Each scan computes every
+player's strict and weak bounds once per partition
+(``PreferenceOrder.bounds``) and compares member errors against them
+inline.
 
 Comparisons run in one of two modes: relative-epsilon floating point
 (default) or exact rational arithmetic, selected on ``PreferenceOrder``.
@@ -162,11 +164,15 @@ class _ErrorTable:
         self.memo: list[dict[int, Number]] = [{} for _ in config.players]
         self._blocks: dict[int, dict[int, Number]] = {}
 
-    def coalition(self, mask: int) -> tuple[int, int, Any]:
-        """The mask's sample sums N and Q and its shared term."""
+    def coalition(
+        self, mask: int, members: Optional[list[int]] = None
+    ) -> tuple[int, int, Any]:
+        """The mask's sample sums N and Q and its shared term; ``members``,
+        when given, are the mask's members in ascending order."""
         entry = self.coalitions.get(mask)
         if entry is None:
-            members = _mask_members(mask)
+            if members is None:
+                members = _mask_members(mask)
             total, square = _sample_sums(members, self.ns)
             entry = self.coalitions[mask] = (
                 total, square, None if self.shared is None else members
@@ -175,16 +181,19 @@ class _ErrorTable:
         return total, square, None if members is None else self.shared(members, total)
 
     def filled(self, mask: int) -> dict[int, Number]:
-        """Every member's error in the mask's coalition, by player."""
+        """Every member's error in the mask's coalition, by player.  The
+        members are listed once, and the sums and shared term taken once,
+        when the first missing error is needed."""
         values = self._blocks.get(mask)
         if values is None:
+            members = _mask_members(mask)
             total = None
             values = {}
-            for j in _mask_members(mask):
+            for j in members:
                 err = self.memo[j].get(mask)
                 if err is None:
                     if total is None:
-                        total, square, terms = self.coalition(mask)
+                        total, square, terms = self.coalition(mask, members)
                     err = self.memo[j][mask] = self.error(j, total, square, terms)
                 values[j] = err
             self._blocks[mask] = values
@@ -211,10 +220,6 @@ def _check_partition(partition: Partition, config: GameConfig) -> None:
             f"partition covers {partition.player_count} players, "
             f"config has {len(config.players)}"
         )
-
-
-def _block_masks(partition: Partition) -> tuple[int, ...]:
-    return tuple(c.mask for c in partition.coalitions)
 
 
 def _blocking_coalition(
@@ -299,10 +304,8 @@ def _core_verdict(
 ) -> StabilityVerdict:
     what = "strict core stability" if strict_notion else "core stability"
     table = _verdict_table(partition, scheme, config, prefs, what)
-    mask = _blocking_coalition(
-        _block_masks(partition), partition.player_count, table, prefs, strict_notion
-    )
-    witness = None if mask is None else Coalition.from_mask(mask)
+    mask = _blocking_coalition(partition.masks, partition.player_count, table, prefs, strict_notion)
+    witness = None if mask is None else Coalition._trusted(mask)
     return StabilityVerdict(witness is None, witness, prefs.mode)
 
 
@@ -380,11 +383,11 @@ def is_individually_stable(
     weakly agreeing) or, unless disabled, by leaving to be alone."""
     table = _verdict_table(partition, scheme, config, prefs, "individual stability")
     found = _individual_deviation(
-        _block_masks(partition), partition.player_count, table, prefs, allow_singleton_deviation
+        partition.masks, partition.player_count, table, prefs, allow_singleton_deviation
     )
     witness = None
     if found is not None:
-        witness = Deviation(player=found[0], target=Coalition.from_mask(found[1]))
+        witness = Deviation(player=found[0], target=Coalition._trusted(found[1]))
     return StabilityVerdict(witness is None, witness, prefs.mode)
 
 
@@ -414,7 +417,7 @@ def find_stable_partitions(
             masks for masks in _partition_masks(m)
             if _blocking_coalition(masks, m, table, prefs, strict_notion) is None
         )
-    return [Partition.from_masks(masks) for masks in stable]
+    return [Partition._trusted(masks, m) for masks in stable]
 
 
 # --- two-size (count-symmetric) searches -------------------------------------

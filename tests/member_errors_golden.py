@@ -6,8 +6,10 @@ exact parameters; every scheme, with Fine given valid rows per coalition).
 ``errors_of(coalition, scheme, config)`` returns ``{player: error}``; the
 line holds the ``repr`` of each error, so any change in value or type shows.
 
-The file was written by CPython 3.11, whose ``sum()`` adds floats without
-compensation; regenerate it (only when a change of value is intended) with
+The errors add floats left to right, never with ``sum()`` (which
+compensates float rounding from CPython 3.12 on), so the file is the same
+on every supported CPython.  Regenerate it (only when a change of value is
+intended) with
 
     PYTHONPATH=src python tests/member_errors_golden.py > tests/golden/member_errors.txt
 """

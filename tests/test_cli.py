@@ -80,6 +80,21 @@ def test_errors_all_partitions_table(capsys):
     assert len(lines) == 1 + 5  # Bell(3) partitions
 
 
+def test_errors_prints_an_exact_error_beyond_the_float_range(capsys):
+    # player a's exact local error is 4e308, beyond the float range
+    argv = (
+        "errors", "--players", "6,200", "--mue", "1e308", "--sigma2", "1",
+        "--linreg-d", "4", "--linreg-bias", "1", "--scheme", "uniform",
+    )
+    code, out, _ = run_cli(capsys, *argv, "--exact")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[2].split()[:2] == ["{a}|{b}", "4" + "0" * 308 + ".000000"]
+    # in floats the same error overflows and is refused
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:") and "overflows" in err
+
+
 def test_errors_needs_partition_beyond_five_players(capsys):
     code, _, err = run_cli(
         capsys, "errors", "--players", "5,5,5,5,5,5", "--mue", "10", "--sigma2", "1",

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -339,6 +340,9 @@ def test_linreg_global_variance_survives_a_numerator_overflow(scheme):
         (GameConfig((1, 1), 1e308, 1e308), FineOptimal(), (0, 1)),
         # mu_e times a squared row weight overflows
         (GameConfig((1, 1), 1e300, 1), Fine({0: {0: 2.0**52, 1: 1 - 2.0**52}}), (0, 1)),
+        # an integer row in an integer config: mu_e*v*v/n is an int division
+        # too large for a float
+        (GameConfig((1, 1), 1, 1), Fine({0: {0: 2**600, 1: 1 - 2**600}}), (0, 1)),
     ],
 )
 def test_a_float_member_error_that_overflows_is_refused(config, scheme, coalition):
@@ -347,6 +351,15 @@ def test_a_float_member_error_that_overflows_is_refused(config, scheme, coalitio
     partition = Partition.singletons(2) if len(coalition) == 1 else Partition.grand(2)
     with pytest.raises(ValidationError, match="overflow"):
         player_errors(partition, scheme, config)
+
+
+def test_an_exact_error_beyond_the_float_range_is_reported():
+    # finite exact errors beyond the float range: a's local error is
+    # mu_e*d/(n-d-1) = 4e308, and float() of it overflows
+    config = exact_config(GameConfig((6, 200), 10**308, 1, LinRegSpec(4, 1)))
+    alone = player_errors(Partition.singletons(2), Uniform(), config).values
+    assert alone[0] == 4 * 10**308 > sys.float_info.max
+    assert alone[1] == coalition_member_mse(1, Coalition((1,)), Uniform(), config)
 
 
 def test_a_two_size_profile_error_that_overflows_is_refused():

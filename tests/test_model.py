@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import pytest
@@ -86,6 +88,20 @@ def test_coalition_rejects_empty_and_negative():
         Coalition(())
     with pytest.raises(ValidationError):
         Coalition((-1, 2))
+    # a member that is not an int has no bit in a mask
+    for members in ((0.5,), (True,), (0, "1")):
+        with pytest.raises(ValidationError, match="not an integer"):
+            Coalition(members)
+
+
+def test_coalitions_and_partitions_survive_pickling_and_copying():
+    partition = Partition.from_masks((0b0101, 0b1010))
+    for copied in (pickle.loads(pickle.dumps(partition)), copy.deepcopy(partition)):
+        assert copied == partition and copied.coalitions == partition.coalitions
+    coalition = Coalition((2, 0))
+    assert pickle.loads(pickle.dumps(coalition)) == copy.copy(coalition) == coalition
+    with pytest.raises(AttributeError):
+        partition.masks = (0b1111,)
 
 
 @pytest.mark.parametrize("mask", [-1, -6, True, False, 3.0, "3", None, 0])

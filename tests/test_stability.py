@@ -28,7 +28,7 @@ from fedgame import (
     two_size_individually_stable,
     two_size_weak_blocking_search,
 )
-from fedgame import stability
+from fedgame import enumerate_partitions, model, stability
 from fedgame.errors import Formula, scheme_formula
 from fedgame.stability import Deviation, PreferenceOrder
 import oracles
@@ -295,16 +295,47 @@ def test_a_stable_scan_stops_at_each_masks_first_non_gaining_member(
 def test_a_stable_set_search_builds_a_partition_only_for_each_result(
     monkeypatch, players, mu_e, sigma_sq, notion, returned
 ):
+    # every Partition is made by Partition._trusted
     built = []
-    post_init = Partition.__post_init__
+    trusted = Partition._trusted
 
-    def counting(self):
+    def counting(cls, masks, *rest):
+        built.append(masks)
+        return trusted(masks, *rest)
+
+    monkeypatch.setattr(Partition, "_trusted", classmethod(counting))
+    found = find_stable_partitions(GameConfig(players, mu_e, sigma_sq), Uniform(), notion)
+    assert len(found) == len(built) == returned
+
+
+@pytest.mark.parametrize("scheme", [Uniform(), CoarseOptimal()], ids=["uniform", "coarse-optimal"])
+def test_a_verdict_builds_no_coalition_but_its_witness(monkeypatch, scheme):
+    config = GameConfig((2, 3, 5, 8, 13), 10, 1)
+    # built from masks (coalitions not read yet) and from coalitions
+    partitions = list(enumerate_partitions(5))
+    partitions += [Partition(p.coalitions) for p in enumerate_partitions(5)]
+    built = []
+    post_init, trusted = Coalition.__post_init__, Coalition._trusted
+
+    def counting_post_init(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(Partition, "__post_init__", counting)
-    found = find_stable_partitions(GameConfig(players, mu_e, sigma_sq), Uniform(), notion)
-    assert len(found) == len(built) == returned
+    def counting_trusted(cls, mask):
+        built.append(mask)
+        return trusted(mask)
+
+    monkeypatch.setattr(Coalition, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Coalition, "_trusted", classmethod(counting_trusted))
+    outcomes = set()
+    for partition in partitions:
+        for verdict_of in (is_core_stable, is_strict_core_stable, is_individually_stable):
+            model._block.cache_clear()  # a coalition read back is built afresh
+            built.clear()
+            verdict = verdict_of(partition, scheme, config)
+            assert len(built) == (0 if verdict.stable else 1)
+            outcomes.add(verdict.stable)
+    assert outcomes == {True, False}
 
 
 def test_unknown_notion_rejected():

@@ -2,10 +2,12 @@
 Monte Carlo verification and reproduction of the reference tables.
 
 All numeric logic lives in the library modules; this file only parses
-inputs, dispatches and renders.  Players are written as letters a..m, then
-p13, p14, ... (``p<index>`` is read for every player), a partition as
-``{a,b}|{c}``, and numbers render with 6 decimals (round-half-even).  Exit
-codes: 0 success, 1 validation/usage error, 2 enumeration cap exceeded.
+inputs, dispatches and renders.  Each command imports the library modules
+it calls, so a process loads only what its command runs.  Players are
+written as letters a..m, then p13, p14, ... (``p<index>`` is read for every
+player), a partition as ``{a,b}|{c}``, and numbers render with 6 decimals
+(round-half-even).  Exit codes: 0 success, 1 validation/usage error, 2
+enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import constructive, errors, stability, weights
 from .model import (
     CapExceededError,
     Coalition,
@@ -30,6 +31,7 @@ from .model import (
     GameConfig,
     LinRegSpec,
     Local,
+    NOTIONS,
     Number,
     Partition,
     TwoSizeGame,
@@ -38,6 +40,9 @@ from .model import (
     _check_finite,
     enumerate_partitions,
 )
+
+if TYPE_CHECKING:
+    from . import constructive, stability
 
 LETTERS = "abcdefghijklm"
 
@@ -357,6 +362,8 @@ def _print(text: str) -> None:
 
 
 def cmd_errors(args: argparse.Namespace) -> int:
+    from . import errors
+
     inputs = Inputs(args)
     config = inputs.require_config()
     scheme = inputs.require_scheme()
@@ -387,6 +394,8 @@ def cmd_errors(args: argparse.Namespace) -> int:
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
+    from . import errors, weights
+
     inputs = Inputs(args)
     config = inputs.require_config()
     m = len(config.players)
@@ -422,6 +431,8 @@ def _witness_text(witness) -> str:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
+    from . import stability
+
     inputs = Inputs(args)
     config = inputs.require_config()
     scheme = inputs.require_scheme()
@@ -453,6 +464,8 @@ def _construct_uniform(
 ) -> tuple[constructive.ProfilePartition, stability.TwoSizeDeviation | None, tuple[int, int] | None]:
     """The constructed uniform-federation arrangement, its first individual
     deviation and its first blocking profile (None where there is none)."""
+    from . import constructive, stability
+
     built = constructive.construct_individually_stable_uniform(game, config, prefs)
     deviation = stability.two_size_individually_stable(game, built.profiles, Uniform(), config, prefs)
     blocked = stability.two_size_blocking_search(game, built.profiles, Uniform(), config, prefs)
@@ -460,6 +473,8 @@ def _construct_uniform(
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from . import constructive, stability
+
     inputs = Inputs(args)
     game = inputs.two_size
     flags = (args.ns, args.nl, args.S, args.L)
@@ -491,7 +506,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import montecarlo  # numpy loads here, not at start-up
+    from . import errors, montecarlo, weights  # numpy loads here, not at start-up
 
     trials = args.trials
     seed = args.seed
@@ -519,9 +534,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         trials=_strict_int(mc.get("trials", trials), "mc.trials"),
         seed=_strict_int(mc.get("seed", seed), "mc.seed"),
     )
+    theta_mean = mc.get("theta_mean", 0.0)
+    _check_finite("mc.theta_mean", theta_mean)
     dist = montecarlo.DistributionSpec(
         theta_family=mc.get("theta_family", "gaussian"),
-        theta_mean=float(mc.get("theta_mean", 0.0)),
+        theta_mean=float(theta_mean),
         epsilon_rule=mc.get("epsilon_rule", "constant"),
         sample_family=mc.get("sample_family", "gaussian"),
     )
@@ -599,6 +616,8 @@ def _reference_tables() -> list[dict]:
 
 
 def _emit_reference_table(spec: dict, fmt: str) -> None:
+    from . import errors
+
     config: GameConfig = spec["config"]
     headers = ["structure"] + [f"err_{player_letter(j)}" for j in spec["show"]]
     rows = []
@@ -613,6 +632,8 @@ def _emit_reference_table(spec: dict, fmt: str) -> None:
 
 
 def _emit_counterexample(fmt: str) -> None:
+    from . import constructive, errors, stability
+
     game = TwoSizeGame(n_s=11, n_l=106, S=70, L=7)
 
     def err(s: int, l: int) -> tuple:
@@ -699,9 +720,7 @@ def build_parser() -> _Parser:
     _add_common(p_st)
     p_st.add_argument("--partition", help='partition such as "{a,b}|{c}"')
     p_st.add_argument("--enumerate", action="store_true", help="list all stable partitions")
-    p_st.add_argument(
-        "--notion", choices=stability.NOTIONS, default="core", help="stability notion"
-    )
+    p_st.add_argument("--notion", choices=NOTIONS, default="core", help="stability notion")
     p_st.set_defaults(func=cmd_stability)
 
     p_c = sub.add_parser("construct", help="constructive two-size arrangements")

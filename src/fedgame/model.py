@@ -30,6 +30,8 @@ Number = Union[int, float, Fraction]
 MAX_PARTITION_PLAYERS = 13
 MAX_COALITION_PLAYERS = 20
 
+NOTIONS = ("core", "strict", "individual")  # stability notions
+
 ROW_SUM_TOL = 1e-12
 
 

@@ -9,6 +9,15 @@ moments of the generating families enter the formulas).
 Determinism: trials are processed in fixed-size batches and batch b draws
 from the substream spawned as (seed, b), so results are bit-identical for a
 given plan no matter how batches would be scheduled.
+
+Linear regression fits each player's OLS from the normal equations
+``X^T X theta = X^T y``, formed by batched ``matmul``, with a Cholesky factor
+``L`` computed one column at a time over the whole batch; there is no
+per-trial QR.  Since ``|L_kk|`` equals ``|R_kk|`` of X's QR, a trial counts
+as singular when some pivot is at most ``_SINGULAR_RTOL*sqrt(n)``, or when a
+pivot's square is not positive from rounding in the Gram matrix.  Singular
+trials are redrawn from the substream (seed, b, attempt) and counted as
+resamples.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .model import (
     Number,
     Uniform,
     ValidationError,
+    _check_finite,
     _is_count,
     scheme_name,
 )
@@ -64,6 +74,7 @@ class DistributionSpec:
             raise ValidationError(f"epsilon_rule must be one of {EPSILON_RULES}")
         if self.sample_family not in SAMPLE_FAMILIES:
             raise ValidationError(f"sample_family must be one of {SAMPLE_FAMILIES}")
+        _check_finite("theta_mean", self.theta_mean)
 
 
 @dataclass(frozen=True)
@@ -195,6 +206,37 @@ def _estimate(total: float, total_sq: float, trials: int, resamples: int) -> McE
     return McEstimate(mse=mean, se=se, resamples=resamples)
 
 
+def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial OLS fits of ``y`` (count, n) on ``x`` (count, n, d) by
+    Cholesky of the Gram matrix: (coefficients, singular-trial mask).  A
+    flagged pivot is replaced by 1, which keeps the solve finite on rows that
+    get redrawn."""
+    count, n, d = x.shape
+    xt = x.transpose(0, 2, 1)
+    gram = np.matmul(xt, x)
+    rhs = np.matmul(xt, y[..., None])[..., 0]
+    tol = _SINGULAR_RTOL * math.sqrt(n)
+    singular = np.zeros(count, dtype=bool)
+    low = [[None] * d for _ in range(d)]  # low[i][k]: L_ik over the batch, k <= i
+    for k in range(d):
+        pivot_sq = gram[:, k, k] - sum(low[k][j] * low[k][j] for j in range(k))
+        positive = pivot_sq > 0
+        pivot = np.sqrt(np.where(positive, pivot_sq, 0.0))
+        bad = ~positive | (pivot <= tol)
+        singular |= bad
+        low[k][k] = np.where(bad, 1.0, pivot)
+        for i in range(k + 1, d):
+            low[i][k] = (gram[:, i, k] - sum(low[i][j] * low[k][j] for j in range(k))) / low[k][k]
+    # L z = X^T y, then L^T theta = z
+    z: list = [None] * d
+    for k in range(d):
+        z[k] = (rhs[:, k] - sum(low[k][j] * z[j] for j in range(k))) / low[k][k]
+    theta: list = [None] * d
+    for k in reversed(range(d)):
+        theta[k] = (z[k] - sum(low[j][k] * theta[j] for j in range(k + 1, d))) / low[k][k]
+    return np.stack(theta, axis=1), singular
+
+
 def _linreg_batch(
     rng: np.random.Generator,
     count: int,
@@ -209,22 +251,14 @@ def _linreg_batch(
     thetas = []
     theta_hats = []
     singular = np.zeros(count, dtype=bool)
-    for pos, n in enumerate(counts):
+    for n in counts:
         theta = rng.standard_normal((count, d)) * stds
         x = rng.standard_normal((count, n, d))
         y = np.einsum("tnd,td->tn", x, theta) + rng.standard_normal(
             (count, n)
         ) * math.sqrt(mu_e)
-        q, r = np.linalg.qr(x)
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        bad = diag.min(axis=1) <= _SINGULAR_RTOL * math.sqrt(n)
-        if bad.any():
-            singular |= bad
-            r = r.copy()
-            # keep the solve well-posed on flagged rows; they get redrawn
-            r[bad] += np.eye(d)
-        z = np.einsum("tnd,tn->td", q, y)
-        theta_hat = np.linalg.solve(r, z[..., None])[..., 0]
+        theta_hat, bad = _ols_fit(x, y)
+        singular |= bad
         thetas.append(theta)
         theta_hats.append(theta_hat)
     combined = sum(w * th for w, th in zip(weights, theta_hats))
@@ -256,6 +290,8 @@ def empirical_mse_linreg(
     bias = float(config.linreg.sigma_bias_sq)
     if coef_variances is None:
         coef_variances = [bias / d] * d
+    for k, v in enumerate(coef_variances):
+        _check_finite(f"coef_variances[{k}]", v)
     coef_variances = [float(v) for v in coef_variances]
     if len(coef_variances) != d or any(v < 0 for v in coef_variances):
         raise ValidationError(f"coef_variances must be {d} non-negative values")

@@ -24,8 +24,9 @@ inline.
 
 Comparisons run in one of two modes: relative-epsilon floating point
 (default) or exact rational arithmetic, selected on ``PreferenceOrder``.
-Errors here are O(1)-scale rationals, so a relative epsilon with a small
-absolute floor recognizes the designed boundary ties (n = mu_e/sigma_sq).
+The relative epsilon recognizes the designed boundary ties
+(n = mu_e/sigma_sq).  It needs no absolute floor: errors are positive, and
+scaling mu_e and the bias coefficient together scales every error alike.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (
     GameConfig,
     MAX_COALITION_PLAYERS,
     MAX_PARTITION_PLAYERS,
+    NOTIONS,
     Number,
     Partition,
     TwoSizeGame,
@@ -62,12 +64,8 @@ from .model import (
     exact_scheme,
 )
 
-_STRICT_FLOOR = 1e-15
-
 FLOAT_MODE = "float-epsilon"
 EXACT_MODE = "exact-rational"
-
-NOTIONS = ("core", "strict", "individual")
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ class PreferenceOrder:
     def bounds(self, current: Sequence[Number]) -> tuple[list[Number], list[Number]]:
         """Per-value decision edges ``(lower, upper)``: ``new`` is strictly
         preferred to ``current[j]`` iff ``new < lower[j]``, and weakly iff
-        ``new <= upper[j]``.  In float mode lower = cur*(1-eps) - floor and
+        ``new <= upper[j]``.  In float mode lower = cur*(1-eps) and
         upper = cur*(1+eps); in exact mode both are cur.  For a non-negative
         ``cur``, lower <= upper, so a strict preference is also a weak one.
         """
@@ -93,7 +91,7 @@ class PreferenceOrder:
             values = list(current)
             return values, values
         shrink, grow = 1.0 - self.epsilon, 1.0 + self.epsilon
-        return [cur * shrink - _STRICT_FLOOR for cur in current], [cur * grow for cur in current]
+        return [cur * shrink for cur in current], [cur * grow for cur in current]
 
     def strictly_less(self, new: Number, old: Number) -> bool:
         return new < self.bounds((old,))[0][0]

@@ -325,6 +325,23 @@ def test_non_integral_mc_fields_exit_1(tmp_path, capsys):
     assert code == 1 and "mc.seed" in err and out == ""
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "1.5"])
+def test_non_finite_or_ill_typed_mc_inputs_exit_1(tmp_path, capsys, bad):
+    # Python's json reads NaN and Infinity
+    doc = {"players": [5, 5], "mu_e": 10, "sigma_sq": 1, "mc": {"trials": 200, "theta_mean": bad}}
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--scheme", "uniform")
+    assert code == 1 and "mc.theta_mean" in err and out == ""
+    doc = {
+        "players": [30, 30], "mu_e": 10, "sigma_sq": 1, "mc": {"trials": 200},
+        "linreg": {"d": 2, "sigma_bias_sq": 1, "coef_variances": [bad, 1]},
+    }
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--scheme", "uniform")
+    assert code == 1 and "coef_variances" in err and out == ""
+
+
 def test_partition_grammar():
     p = parse_partition("{a,c}|{b}", 3)
     assert [c.members for c in p.coalitions] == [(0, 2), (1,)]

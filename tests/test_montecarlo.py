@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from fedgame import (
@@ -171,6 +174,70 @@ def test_resample_machinery_via_forced_threshold(monkeypatch):
     # flag a slice of trials as singular so redraw rounds actually run
     monkeypatch.setattr(mc, "_SINGULAR_RTOL", 0.35)
     redone = mc.empirical_mse_linreg(config, Coalition((0,)), Local(), 0, plan)
-    assert redone.resamples > 0
+    assert redone.resamples == 105
     closed = 10 * 2 / 3
     assert abs(redone.mse - closed) < 5 * redone.se
+
+
+def test_non_finite_inputs_are_refused():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="theta_mean"):
+            DistributionSpec(theta_mean=bad)
+    config = GameConfig((30,), 10, 1, LinRegSpec(2, 1))
+    plan = TrialPlan(trials=10, seed=1)
+    for coef in ([float("nan"), 1.0], [float("inf"), 1.0], [1.0, -float("inf")]):
+        with pytest.raises(ValidationError, match="coef_variances"):
+            empirical_mse_linreg(config, Coalition((0,)), Local(), 0, plan, coef)
+
+
+# --- the OLS fit against a QR reference --------------------------------------------
+
+
+def _qr_fit(x, y, rtol):
+    """Per-trial OLS by Householder QR and a triangular solve: (fit, singular)."""
+    d = x.shape[2]
+    q, r = np.linalg.qr(x)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    singular = diag.min(axis=1) <= rtol * math.sqrt(x.shape[1])
+    r = r.copy()
+    r[singular] += np.eye(d)
+    z = np.einsum("tnd,tn->td", q, y)
+    return np.linalg.solve(r, z[..., None])[..., 0], singular
+
+
+def _regression_draws(rng, count, n, d):
+    theta = rng.standard_normal((count, d)) / math.sqrt(d)
+    x = rng.standard_normal((count, n, d))
+    y = np.einsum("tnd,td->tn", x, theta) + rng.standard_normal((count, n)) * math.sqrt(10)
+    return x, y
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gram_fit_matches_a_qr_reference(d):
+    import fedgame.montecarlo as mc
+
+    rng = np.random.default_rng(d)
+    for n in range(d + 2, 61):
+        x, y = _regression_draws(rng, 128, n, d)
+        fit, singular = mc._ols_fit(x, y)
+        reference, reference_singular = _qr_fit(x, y, mc._SINGULAR_RTOL)
+        assert not singular.any() and not reference_singular.any()
+        np.testing.assert_allclose(fit, reference, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gram_fit_flags_the_trials_qr_flags(d, monkeypatch):
+    import fedgame.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_SINGULAR_RTOL", 0.35)
+    rng = np.random.default_rng(100 + d)
+    flagged = 0
+    for n in (d + 2, d + 3, 2 * d + 4):
+        x, y = _regression_draws(rng, 2048, n, d)
+        with np.errstate(all="raise"):
+            fit, singular = mc._ols_fit(x, y)
+        _, reference_singular = _qr_fit(x, y, mc._SINGULAR_RTOL)
+        assert np.array_equal(singular, reference_singular)
+        assert np.isfinite(fit).all()
+        flagged += int(singular.sum())
+    assert 0 < flagged < 3 * 2048

@@ -460,7 +460,7 @@ def test_preference_order_refuses_a_bad_epsilon():
 def test_float_bounds_are_the_edges_of_strictly_and_weakly_less(epsilon, old):
     prefs = PreferenceOrder(epsilon=epsilon)
     (lower,), (upper,) = prefs.bounds([old])
-    assert lower == old * (1.0 - epsilon) - stability._STRICT_FLOOR
+    assert lower == old * (1.0 - epsilon)
     assert upper == old * (1.0 + epsilon)
     below, above = math.nextafter(lower, -math.inf), math.nextafter(lower, math.inf)
     assert [prefs.strictly_less(new, old) for new in (below, lower, above)] == [True, False, False]
@@ -484,6 +484,25 @@ def test_exact_bounds_are_the_values_themselves():
     old, tiny = Fraction(41, 7), Fraction(1, 10**40)
     assert prefs.strictly_less(old - tiny, old) and not prefs.strictly_less(old, old)
     assert prefs.weakly_less(old, old) and not prefs.weakly_less(old + tiny, old)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_small_scale_singleton_partition_is_blocked(exact):
+    # an absolute floor on the strict edge once made every gain at this
+    # scale look like no gain, so float mode answered stable
+    config = GameConfig((5, 5, 25), 1e-15, 1e-16)
+    verdict = is_core_stable(Partition.singletons(3), Uniform(), config, PreferenceOrder(exact=exact))
+    assert (verdict.stable, verdict.witness) == (False, Coalition((0, 1)))
+
+
+@pytest.mark.parametrize("mu_e, sigma_sq", [(1e-15, 1e-16), (1e-13, 1e-14), (10, 1)])
+def test_stable_sets_do_not_depend_on_the_scale(mu_e, sigma_sq):
+    config = GameConfig((5, 5, 25), mu_e, sigma_sq)
+    found = {
+        exact: find_stable_partitions(config, Uniform(), "core", PreferenceOrder(exact=exact))
+        for exact in (False, True)
+    }
+    assert found[False] == found[True] == [Partition.from_blocks([[0, 1], [2]])]
 
 
 # --- two-size searches ------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Property tests: every stability verdict re-verifies against the error
 layer, in float and exact modes, under every notion; the scans' error table
 equals the error layer; the two modes agree away from ties; and the two-size
-profile searches agree with the labelled verdicts."""
+profile searches agree with the labelled verdicts; and scaling mu_e and the
+bias coefficient together changes no verdict."""
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +17,8 @@ from fedgame import (
     Coarse,
     CoarseOptimal,
     FineOptimal,
+    GameConfig,
+    LinRegSpec,
     Local,
     Partition,
     TwoSizeGame,
@@ -29,6 +35,7 @@ from fedgame import (
     two_size_individually_stable,
     two_size_weak_blocking_search,
 )
+from fedgame.model import NOTIONS
 from fedgame.stability import Deviation, PreferenceOrder, _ErrorTable, _blocking_coalition
 from test_config_properties import MAX_COUNT, PROPERTY_SETTINGS, build, config_arguments
 
@@ -134,6 +141,41 @@ def test_strict_core_stable_sets_lie_inside_the_core_stable_sets(game):
     strict = find_stable_partitions(config, scheme, "strict", prefs)
     core = find_stable_partitions(config, scheme, "core", prefs)
     assert set(strict) <= set(core)
+
+
+def _scaled(config, c):
+    """The game with mu_e and the bias coefficient multiplied by c."""
+    lr = config.linreg
+    linreg = None if lr is None else LinRegSpec(lr.d, lr.sigma_bias_sq * c)
+    return GameConfig(config.players, config.mu_e * c, config.sigma_sq * c, linreg)
+
+
+def _answers(config, scheme, partition, prefs, notion):
+    verdicts = [
+        check(partition, scheme, config, prefs)
+        for check in (is_core_stable, is_strict_core_stable, is_individually_stable)
+    ]
+    return [(v.stable, v.witness) for v in verdicts], find_stable_partitions(
+        config, scheme, notion, prefs
+    )
+
+
+@PROPERTY_SETTINGS
+@given(games(), st.integers(-60, 60), st.integers(-12, 12), st.sampled_from(NOTIONS))
+def test_verdicts_and_stable_sets_do_not_depend_on_the_scale(game, k2, k10, notion):
+    """Every closed form is homogeneous of degree 1 in (mu_e, bias), so
+    scaling both by c scales every error by c.  A power of two scales a float
+    exactly, and any rational scales an exact value exactly."""
+    config, scheme, partition, prefs = game
+    if prefs.exact:
+        base = exact_config(config)
+        factors = [Fraction(2) ** k2, Fraction(10) ** k10]
+    else:
+        base = _scaled(config, 1.0)  # float fields, so that scaling is exact
+        factors = [math.ldexp(1.0, k2)]
+    expected = _answers(base, scheme, partition, prefs, notion)
+    for c in factors:
+        assert _answers(_scaled(base, c), scheme, partition, prefs, notion) == expected, c
 
 
 @st.composite

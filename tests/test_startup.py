@@ -1,7 +1,8 @@
-"""numpy is loaded only by Monte Carlo code.
+"""Start-up: ``import fedgame`` loads no submodule, each command loads only
+the modules it runs, and numpy is loaded only by Monte Carlo code.
 
 Each check runs in a fresh interpreter, because the test process itself
-has numpy loaded already.
+has numpy and every fedgame module loaded already.
 """
 
 import os
@@ -15,7 +16,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs fedgame.cli as __main__ with the given arguments, then reports on
-# stderr whether numpy was loaded
+# stderr whether numpy was loaded, the exit code and the fedgame modules loaded
 RUN_CLI = """
 import runpy, sys
 sys.argv = ["fedgame", *{argv!r}]
@@ -23,8 +24,26 @@ try:
     runpy.run_module("fedgame.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print("numpy" in sys.modules, code, file=sys.stderr)
+loaded = ",".join(sorted(m for m in sys.modules if m.startswith("fedgame.")))
+print("numpy" in sys.modules, code, loaded, file=sys.stderr)
 """
+
+# the public names ``import fedgame`` offered before its exports were loaded
+# lazily; the Monte Carlo ones stay out of ``from fedgame import *``
+PUBLIC_NAMES = {
+    "CapExceededError", "Coalition", "Coarse", "CoarseOptimal", "Deviation", "ErrorReport",
+    "FederationScheme", "Fine", "FineOptimal", "FineWeights", "GameConfig", "LinRegSpec",
+    "Local", "Partition", "PreferenceOrder", "Prescription", "ProfilePartition",
+    "RegimeClassification", "StabilityVerdict", "TwoSizeDeviation", "TwoSizeGame", "Uniform",
+    "ValidationError", "classify_equal_samples", "coalition_errors", "coalition_member_mse",
+    "construct_individually_stable_uniform", "construct_strict_core_coarse",
+    "enumerate_coalitions", "enumerate_partitions", "exact_config", "exact_scheme",
+    "explicit_row", "find_stable_partitions", "is_core_stable", "is_individually_stable",
+    "is_strict_core_stable", "mse_coarse", "mse_fine", "mse_local", "mse_uniform",
+    "optimal_coarse_mse", "optimal_fine_mse", "optimal_v", "optimal_w", "player_errors",
+    "regime_predicates", "two_size_blocking_search", "two_size_errors",
+    "two_size_game_config", "two_size_individually_stable", "two_size_weak_blocking_search",
+}
 
 LIGHT_COMMANDS = [
     ["reproduce", "--all"],
@@ -52,12 +71,13 @@ def run_python(source: str) -> subprocess.CompletedProcess:
     )
 
 
-def cli_loads_numpy(argv: list[str]) -> bool:
+def cli_loads(argv: list[str]) -> tuple[bool, set[str]]:
+    """(whether numpy was loaded, the fedgame submodules loaded) by one command."""
     result = run_python(RUN_CLI.format(argv=argv))
-    loaded, code = result.stderr.split()[-2:]
+    numpy, code, modules = result.stderr.split("\n")[-2].split(" ")
     assert code == "0", result.stderr
     assert result.stdout
-    return loaded == "True"
+    return numpy == "True", set(modules.split(","))
 
 
 @pytest.mark.parametrize("module", ["fedgame", "fedgame.cli"])
@@ -66,13 +86,45 @@ def test_import_does_not_load_numpy(module):
     assert out.split() == ["False"]
 
 
+def test_import_fedgame_loads_no_submodule():
+    out = run_python(
+        "import sys, fedgame; print(sorted(m for m in sys.modules if m.startswith('fedgame')))"
+    ).stdout
+    assert out.split() == ["['fedgame']"]
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS[1:3], ids=lambda argv: argv[0])
+def test_errors_and_weights_load_neither_stability_nor_constructive(argv):
+    _, modules = cli_loads(argv)
+    assert "fedgame.errors" in modules
+    assert not modules & {"fedgame.stability", "fedgame.constructive", "fedgame.montecarlo"}
+
+
+def test_star_import_binds_the_public_names_without_numpy():
+    out = run_python(
+        """
+        import sys
+        namespace = {}
+        exec("from fedgame import *", namespace)
+        import fedgame
+        names = sorted(name for name in namespace if name != "__builtins__")
+        print(",".join(names))
+        print(all(namespace[name] is getattr(fedgame, name) for name in names))
+        print("numpy" in sys.modules)
+        """
+    ).stdout
+    names, same, numpy = out.split()
+    assert set(names.split(",")) == PUBLIC_NAMES
+    assert (same, numpy) == ("True", "False")
+
+
 @pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=lambda argv: argv[0])
 def test_closed_form_commands_do_not_load_numpy(argv):
-    assert not cli_loads_numpy(argv)
+    assert not cli_loads(argv)[0]
 
 
 def test_verify_loads_numpy():
-    assert cli_loads_numpy(["verify", "--battery", "--trials", "64"])
+    assert cli_loads(["verify", "--battery", "--trials", "64"])[0]
 
 
 def test_montecarlo_exports_resolve_on_first_use():

@@ -3,9 +3,11 @@ Monte Carlo verification and reproduction of the reference tables.
 
 All numeric logic lives in the library modules; this file only parses
 inputs, dispatches and renders.  Each command imports the library modules
-it calls, so a process loads only what its command runs.  Players are
-written as letters a..m, then p13, p14, ... (``p<index>`` is read for every
-player), a partition as ``{a,b}|{c}``, and numbers render with 6 decimals
+it calls, and ``json``, ``csv`` and ``fractions`` are imported only where a
+config document is read, CSV is written or an exact number is parsed, so a
+process loads only what its command runs.  Players are written as letters
+a..m, then p13, p14, ... (``p<index>`` is read for every player), a
+partition as ``{a,b}|{c}``, and numbers render with 6 decimals
 (round-half-even).  Exit codes: 0 success, 1 validation/usage error, 2
 enumeration cap exceeded.
 """
@@ -13,11 +15,7 @@ enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .model import (
@@ -140,6 +138,9 @@ def fmt_num(value: Number) -> str:
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
     if fmt == "csv":
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(headers)
@@ -167,7 +168,11 @@ def _parse_players(text: str) -> tuple[int, ...]:
 
 def _parse_number(text: str, exact: bool) -> Number:
     try:
-        return Fraction(text) if exact else float(text)
+        if exact:
+            from fractions import Fraction
+
+            return Fraction(text)
+        return float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad number {text!r}: {exc}")
 
@@ -230,9 +235,13 @@ def _scheme_from_document(spec: object, m: int) -> FederationScheme:
 
 
 def _load_document(path: str, exact: bool) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             if exact:
+                from fractions import Fraction
+
                 data = json.load(handle, parse_float=Fraction)
             else:
                 data = json.load(handle)

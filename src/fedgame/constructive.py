@@ -10,7 +10,6 @@ partitions for exhaustive oracle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import two_size_errors
@@ -20,6 +19,7 @@ from .model import (
     GameConfig,
     Number,
     Partition,
+    Record,
     TwoSizeGame,
     Uniform,
     ValidationError,
@@ -36,9 +36,10 @@ REGIME_BOUNDARY = "boundary"
 REGIME_MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class Prescription:
+class Prescription(Record):
     """One partition (or family) together with the stability notion it attains."""
+
+    _fields = ("description", "notion", "unique", "partition")
 
     description: str
     notion: str
@@ -46,15 +47,17 @@ class Prescription:
     partition: Optional[Partition] = None
 
 
-@dataclass(frozen=True)
-class RegimeClassification:
+class RegimeClassification(Record):
+    _fields = ("regime", "prescriptions")
+
     regime: str
     prescriptions: tuple[Prescription, ...]
 
 
-@dataclass(frozen=True)
-class ProfilePartition:
+class ProfilePartition(Record):
     """Partition of a two-size population given as (small, large) profiles."""
+
+    _fields = ("game", "profiles")
 
     game: TwoSizeGame
     profiles: tuple[tuple[int, int], ...]

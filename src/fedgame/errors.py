@@ -34,7 +34,6 @@ finite result keeps its bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
@@ -48,6 +47,7 @@ from .model import (
     Local,
     Number,
     Partition,
+    Record,
     TwoSizeGame,
     Uniform,
     ValidationError,
@@ -62,9 +62,10 @@ LINREG_OPTIMAL_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(Record):
     """Per-player expected MSE for one partition under one scheme."""
+
+    _fields = ("values", "note")
 
     values: Mapping[int, Number]
     note: str | None = None

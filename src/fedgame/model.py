@@ -5,6 +5,16 @@ distribution summaries: ``mu_e`` (expected sampling-noise variance) and
 ``sigma_sq`` (variance of the true parameters across players).  Everything
 else in the package is a pure function of these values.
 
+Every public record of the package (configs, schemes, coalitions,
+partitions, verdicts, estimates) is a ``Record``: a plain frozen class that
+lists its fields in ``_fields``.  It is built like a frozen dataclass
+(positional or keyword arguments, class-attribute defaults, then
+``__post_init__``, which checks the values) and compares, hashes and prints
+by those fields, but no code is generated for it, so defining one costs no
+more than any class.  Assignment and deletion raise ``FrozenInstanceError``.
+To change a field, build a new record with the constructor, which checks it
+again.
+
 Coalitions and partitions carry their bitmasks (bit j for player j), which
 is what the stability scans and the partition enumeration work on.  A
 ``Partition`` stores its block masks, sorted by lowest bit, and checks them
@@ -12,18 +22,22 @@ with bit operations; it builds its ``Coalition`` objects only when
 ``coalitions`` is first read.  A ``Coalition`` caches its mask, and one
 built from a mask lists its members once, unchecked, since a mask's set
 bits are already distinct and ascending.
+
+The module imports only ``math``, ``numbers``, ``functools`` and
+``typing``; ``fractions`` is imported by the exact-mode copies that use it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import FrozenInstanceError, dataclass, replace
-from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from functools import lru_cache, total_ordering
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
-Number = Union[int, float, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Number = Union[int, float, "Fraction"]
 
 # Enumeration caps.  Bell(13) ~ 27.6M partitions is the largest exhaustive
 # search we are willing to stream; subsets cap at 2^20.
@@ -43,14 +57,96 @@ class CapExceededError(ValueError):
     """An enumeration was requested beyond its hard player cap."""
 
 
-@dataclass(frozen=True)
-class LinRegSpec:
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a ``Record``."""
+
+
+class Record:
+    """Base of the immutable records: fields named in ``_fields``, in order.
+
+    A class attribute named like a field is that field's default.  Building
+    a record binds the arguments to the fields as a call would (positional
+    or keyword; too many, unknown, repeated or missing arguments raise
+    ``TypeError``), sets each with ``object.__setattr__`` and then calls
+    ``__post_init__``, which may refuse them or normalise one the same way.
+    Setting fields one by one, not through ``self.__dict__``, keeps the
+    compact attribute storage that makes reading them cheap.  Two records
+    are equal when they are of the same class and their field tuples are
+    equal; the hash is that of the field tuple, so a record holding a dict
+    is unhashable.  Pickling and copying restore the ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with keywords, defaults or a wrong
+        argument count, in field order."""
+        fields = cls._fields
+        name = cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                try:
+                    values[key] = getattr(cls, key)
+                except AttributeError:
+                    raise TypeError(f"{name}() missing required argument {key!r}") from None
+        return tuple(values[key] for key in fields)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class LinRegSpec(Record):
     """Linear-regression task: dimension and the aggregate bias coefficient.
 
     ``sigma_bias_sq`` is the sum over dimensions of (second moment of the
     input coordinate) times (variance of the coefficient); only this product
     sum enters any closed form, so per-dimension vectors are not stored.
     """
+
+    _fields = ("d", "sigma_bias_sq")
 
     d: int
     sigma_bias_sq: Number
@@ -63,12 +159,13 @@ class LinRegSpec:
             raise ValidationError("linreg.sigma_bias_sq: must be non-negative")
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(Record):
     """Population of sample counts plus distribution summary parameters.
 
     Construction refuses any value outside the game's domain, naming the field.
     """
+
+    _fields = ("players", "mu_e", "sigma_sq", "linreg")
 
     players: tuple[int, ...]
     mu_e: Number
@@ -132,20 +229,22 @@ def check_row_sum(row: Mapping[int, Number], what: str) -> None:
         raise ValidationError(f"{what} sums to {total!r}, expected 1")
 
 
-@dataclass(frozen=True, order=True)
-class Coalition:
+@total_ordering
+class Coalition(Record):
     """A non-empty set of player indices, stored sorted.
 
     ``mask`` (bit j set for member j) is computed on first read and cached;
-    ``from_mask`` sets it at construction.
+    ``from_mask`` sets it at construction.  Coalitions order by ``members``.
     """
 
     __slots__ = ("members", "_mask")
 
+    _fields = ("members",)
+
     members: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        members = set(self.members)
+    def __init__(self, members: Iterable[int]) -> None:
+        members = set(members)
         if not members:
             raise ValidationError("coalition: must be non-empty")
         for j in members:
@@ -154,7 +253,12 @@ class Coalition:
         members = tuple(sorted(members))
         if members[0] < 0:
             raise ValidationError(f"coalition: negative player index in {members}")
-        object.__setattr__(self, "members", members)
+        _set_members(self, members)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.members < other.members
+        return NotImplemented
 
     def __reduce__(self) -> tuple:
         return self.__class__, (self.members,)
@@ -195,7 +299,7 @@ class Coalition:
         return coalition
 
 
-# slot setters, which bypass the frozen __setattr__
+# slot setters, which bypass the refusing __setattr__
 _set_members = Coalition.members.__set__
 _set_mask = Coalition._mask.__set__
 
@@ -237,7 +341,7 @@ def _player_count(masks: tuple[int, ...]) -> int:
     return seen.bit_length()
 
 
-class Partition:
+class Partition(Record):
     """Disjoint coalitions covering players 0..m-1, sorted by least member.
 
     A partition is its block bitmasks, ``masks``, sorted by lowest bit, with
@@ -249,13 +353,18 @@ class Partition:
 
     __slots__ = ("masks", "player_count", "_coalitions")
 
+    _fields = ("coalitions",)  # for the repr
+
     masks: tuple[int, ...]
     player_count: int
 
-    def __new__(cls, coalitions: Iterable[Coalition]) -> "Partition":
+    def __init__(self, coalitions: Iterable[Coalition]) -> None:
         coals = tuple(sorted(coalitions, key=lambda c: c.members[0]))
         masks = tuple(c.mask for c in coals)
-        return cls._trusted(masks, _player_count(masks), coals)
+        player_count = _player_count(masks)
+        _set_masks(self, masks)
+        _set_player_count(self, player_count)
+        _set_coalitions(self, coals)
 
     @classmethod
     def _trusted(
@@ -265,8 +374,7 @@ class Partition:
         coalitions: tuple[Coalition, ...] | None = None,
     ) -> "Partition":
         """The partition with these block masks, unchecked: they are
-        positive, sorted by lowest bit, disjoint and cover 0..player_count-1.
-        Every ``Partition`` is made here."""
+        positive, sorted by lowest bit, disjoint and cover 0..player_count-1."""
         partition = object.__new__(cls)
         _set_masks(partition, masks)
         _set_player_count(partition, player_count)
@@ -281,12 +389,6 @@ class Partition:
             _set_coalitions(self, coals)
         return coals
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.masks == other.masks
@@ -294,9 +396,6 @@ class Partition:
 
     def __hash__(self) -> int:
         return hash(self.masks)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(coalitions={self.coalitions!r})"
 
     def __reduce__(self) -> tuple:
         return self.__class__.from_masks, (self.masks,)
@@ -352,9 +451,10 @@ _set_player_count = Partition.player_count.__set__
 _set_coalitions = Partition._coalitions.__set__
 
 
-@dataclass(frozen=True)
-class TwoSizeGame:
+class TwoSizeGame(Record):
     """Symmetric population: S small players (n_s samples), L large (n_l)."""
+
+    _fields = ("n_s", "n_l", "S", "L")
 
     n_s: int
     n_l: int
@@ -406,19 +506,18 @@ def check_two_size_config(game: TwoSizeGame, config: GameConfig) -> None:
 # --- federation schemes -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Local:
+class Local(Record):
     """Every player keeps its own local model."""
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(Record):
     """One sample-count-weighted global model per coalition."""
 
 
-@dataclass(frozen=True)
-class Coarse:
+class Coarse(Record):
     """Each player blends global and local models with its scalar weight."""
+
+    _fields = ("weights",)
 
     weights: Mapping[int, Number]
 
@@ -429,14 +528,14 @@ class Coarse:
                 raise ValidationError(f"coarse weight for player {j} outside [0,1]: {w!r}")
 
 
-@dataclass(frozen=True)
-class CoarseOptimal:
+class CoarseOptimal(Record):
     """Coarse blending with each player's error-minimizing weight."""
 
 
-@dataclass(frozen=True)
-class Fine:
+class Fine(Record):
     """Each player combines member models with an explicit weight row."""
+
+    _fields = ("rows",)
 
     rows: Mapping[int, Mapping[int, Number]]
 
@@ -447,8 +546,7 @@ class Fine:
             check_row_sum(row, f"fine row for player {j}")
 
 
-@dataclass(frozen=True)
-class FineOptimal:
+class FineOptimal(Record):
     """Fine-grained combination with each player's optimal weight row."""
 
 
@@ -473,21 +571,21 @@ def exact_config(config: GameConfig) -> GameConfig:
     """Copy of config with distribution parameters coerced to Fraction.
 
     Floats convert to their exact binary value; pass Fraction/int parameters
-    for decimal-exact analysis.
+    for decimal-exact analysis.  The copy is built, and so checked, by the
+    ``GameConfig`` constructor.
     """
+    from fractions import Fraction
+
     lr = config.linreg
     if lr is not None:
-        lr = LinRegSpec(d=lr.d, sigma_bias_sq=Fraction(lr.sigma_bias_sq))
-    return replace(
-        config,
-        mu_e=Fraction(config.mu_e),
-        sigma_sq=Fraction(config.sigma_sq),
-        linreg=lr,
-    )
+        lr = LinRegSpec(lr.d, Fraction(lr.sigma_bias_sq))
+    return GameConfig(config.players, Fraction(config.mu_e), Fraction(config.sigma_sq), lr)
 
 
 def exact_scheme(scheme: FederationScheme) -> FederationScheme:
     """Copy of scheme with any explicit weights coerced to Fraction."""
+    from fractions import Fraction
+
     if isinstance(scheme, Coarse):
         return Coarse({j: Fraction(w) for j, w in scheme.weights.items()})
     if isinstance(scheme, Fine):

@@ -23,7 +23,6 @@ resamples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +39,7 @@ from .model import (
     LinRegSpec,
     Local,
     Number,
+    Record,
     Uniform,
     ValidationError,
     _check_finite,
@@ -58,9 +58,14 @@ EPSILON_RULES = ("constant", "gamma")
 SAMPLE_FAMILIES = ("gaussian", "uniform")
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Generating families for the mean-estimation simulation."""
+class DistributionSpec(Record):
+    """Generating families for the mean-estimation simulation.
+
+    ``theta_mean`` is checked and kept, but the true parameters are drawn
+    around 0: a common shift cancels in every error (see ``_draw_theta``).
+    """
+
+    _fields = ("theta_family", "theta_mean", "epsilon_rule", "sample_family")
 
     theta_family: str = "gaussian"
     theta_mean: float = 0.0
@@ -77,8 +82,9 @@ class DistributionSpec:
         _check_finite("theta_mean", self.theta_mean)
 
 
-@dataclass(frozen=True)
-class TrialPlan:
+class TrialPlan(Record):
+    _fields = ("trials", "seed")
+
     trials: int
     seed: int
 
@@ -93,8 +99,9 @@ class TrialPlan:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
+    _fields = ("mse", "se", "resamples")
+
     mse: float
     se: float
     resamples: int = 0
@@ -126,19 +133,21 @@ def _combination_row(
 def _draw_theta(
     rng: np.random.Generator, dist: DistributionSpec, variance: float, size: tuple[int, ...]
 ) -> np.ndarray:
-    mean = dist.theta_mean
+    """True parameters around 0, not ``dist.theta_mean``: every combination
+    row sums to 1, so a common shift cancels in the error, and drawing
+    around a large mean would round the draws themselves away."""
     if variance == 0.0:
-        return np.full(size, mean)
+        return np.zeros(size)
     if dist.theta_family == "gaussian":
-        return rng.normal(mean, math.sqrt(variance), size)
+        return rng.normal(0.0, math.sqrt(variance), size)
     if dist.theta_family == "uniform":
         half = math.sqrt(3.0 * variance)
-        return mean + (rng.random(size) * 2.0 - 1.0) * half
+        return (rng.random(size) * 2.0 - 1.0) * half
     # lognormal-centered: solve u^2 - u = variance for the underlying scale,
-    # then shift the draw to the requested mean
+    # then shift the draw to mean 0
     u = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * variance))
     sigma_ln = math.sqrt(math.log(u))
-    return mean + rng.lognormal(0.0, sigma_ln, size) - math.sqrt(u)
+    return rng.lognormal(0.0, sigma_ln, size) - math.sqrt(u)
 
 
 def _draw_epsilon(
@@ -335,8 +344,9 @@ def empirical_mse_linreg(
 # --- agreement battery --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BatteryCase:
+class BatteryCase(Record):
+    _fields = ("label", "kind", "config", "coalition", "scheme", "player", "dist", "expected")
+
     label: str
     kind: str  # "mean" | "linreg"
     config: GameConfig

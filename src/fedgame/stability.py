@@ -31,7 +31,6 @@ scaling mu_e and the bias coefficient together scales every error alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .errors import _sample_sums, scheme_formula, two_size_errors
@@ -53,6 +52,7 @@ from .model import (
     NOTIONS,
     Number,
     Partition,
+    Record,
     TwoSizeGame,
     ValidationError,
     _check_finite,
@@ -68,9 +68,10 @@ FLOAT_MODE = "float-epsilon"
 EXACT_MODE = "exact-rational"
 
 
-@dataclass(frozen=True)
-class PreferenceOrder:
+class PreferenceOrder(Record):
     """Comparison policy for "prefers" between expected errors."""
+
+    _fields = ("epsilon", "exact")
 
     epsilon: float = 1e-9
     exact: bool = False
@@ -104,19 +105,34 @@ class PreferenceOrder:
         return EXACT_MODE if self.exact else FLOAT_MODE
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(Record):
     """A single player moving to ``target`` (which includes the player)."""
+
+    _fields = ("player", "target")
 
     player: int
     target: Coalition
 
+    # an explicit __init__, as StabilityVerdict's: one is built per verdict,
+    # and Record's generic one costs more
+    def __init__(self, player: int, target: Coalition) -> None:
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "target", target)
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+
+class StabilityVerdict(Record):
+    _fields = ("stable", "witness", "comparisons_mode")
+
     stable: bool
     witness: Optional[Coalition | Deviation]
     comparisons_mode: str
+
+    def __init__(
+        self, stable: bool, witness: Optional[Coalition | Deviation], comparisons_mode: str
+    ) -> None:
+        object.__setattr__(self, "stable", stable)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "comparisons_mode", comparisons_mode)
 
 
 class _ErrorTable:
@@ -421,9 +437,10 @@ def find_stable_partitions(
 # --- two-size (count-symmetric) searches -------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoSizeDeviation:
+class TwoSizeDeviation(Record):
     """A single small/large player moving from one profile to another."""
+
+    _fields = ("role", "source", "target")
 
     role: str  # "small" | "large"
     source: tuple[int, int]

@@ -10,7 +10,6 @@ note from ``errors.LINREG_OPTIMAL_NOTE``.  The closed forms themselves live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import (
@@ -34,6 +33,7 @@ from .model import (
     GameConfig,
     Local,
     Number,
+    Record,
     Uniform,
     ValidationError,
     check_row_sum,
@@ -41,9 +41,10 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class FineWeights:
+class FineWeights(Record):
     """Optimal combination row for one target player over one coalition."""
+
+    _fields = ("player", "row")
 
     player: int
     row: Mapping[int, Number]

@@ -71,9 +71,20 @@ def test_validate_accepts_exact_parameters():
 
 
 def test_replace_checks_the_new_config():
+    # no copy of a config escapes the checks: configs are not dataclasses,
+    # so dataclasses.replace refuses them, and a changed config is built
+    # with the constructor, which checks it
     valid = GameConfig((5, 5), 10, 1)
-    with pytest.raises(ValidationError, match="sigma_sq"):
+    with pytest.raises(TypeError):
         replace(valid, sigma_sq=float("nan"))
+    with pytest.raises(ValidationError, match="sigma_sq"):
+        GameConfig(valid.players, valid.mu_e, float("nan"), valid.linreg)
+    # exact_config builds its copy with the constructor too: a config that
+    # skipped its checks is refused there
+    unchecked = object.__new__(GameConfig)
+    unchecked.__dict__.update(players=(5, 5), mu_e=10, sigma_sq=-1, linreg=None)
+    with pytest.raises(ValidationError, match="sigma_sq"):
+        exact_config(unchecked)
 
 
 def test_coalition_sorts_and_dedups():

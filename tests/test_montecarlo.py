@@ -20,7 +20,7 @@ from fedgame import (
     mse_local,
     mse_uniform,
 )
-from fedgame.montecarlo import agreement_battery, run_case
+from fedgame.montecarlo import THETA_FAMILIES, agreement_battery, run_case
 
 GAUSSIAN = DistributionSpec()
 
@@ -60,15 +60,20 @@ def test_uniform_grand_matches_closed_form_both_families():
 
 
 def test_theta_mean_invariance():
-    # combination weights sum to 1, so a common shift cancels exactly
-    config = GameConfig((5, 5, 25), 10, 1)
-    coalition = Coalition((0, 1, 2))
-    plan = TrialPlan(trials=20000, seed=13)
-    base = empirical_mse_mean(config, coalition, Uniform(), 0, GAUSSIAN, plan)
-    shifted = empirical_mse_mean(
-        config, coalition, Uniform(), 0, DistributionSpec(theta_mean=50.0), plan
-    )
-    assert abs(shifted.mse - base.mse) < 3 * base.se
+    # combination weights sum to 1, so a common shift cancels exactly; the
+    # draws are made around 0, so no finite mean rounds them away (shifted
+    # draws read mse 1.884 at 1e16 and 0.0 at 1e300 below, against 1.534)
+    config = GameConfig((5, 5), 10, 1)
+    coalition = Coalition((0, 1))
+    plan = TrialPlan(trials=1000, seed=1)
+    for family in THETA_FAMILIES:
+        base = empirical_mse_mean(
+            config, coalition, Uniform(), 0, DistributionSpec(theta_family=family), plan
+        )
+        assert abs(base.mse - mse_uniform(0, coalition, config)) < 4 * base.se
+        for theta_mean in (50.0, -1e16, 1e16, 1e300):
+            dist = DistributionSpec(theta_family=family, theta_mean=theta_mean)
+            assert empirical_mse_mean(config, coalition, Uniform(), 0, dist, plan) == base
 
 
 def test_coarse_weighting_matches_closed_form():

@@ -1,5 +1,8 @@
 """Start-up: ``import fedgame`` loads no submodule, each command loads only
-the modules it runs, and numpy is loaded only by Monte Carlo code.
+the modules it runs, numpy is loaded only by Monte Carlo code, and the
+closed-form commands load none of the slower standard-library modules
+(``dataclasses``, ``json``, ``csv``, ``fractions`` ...) unless an option
+needs one.
 
 Each check runs in a fresh interpreter, because the test process itself
 has numpy and every fedgame module loaded already.
@@ -13,10 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from smoke import LIGHT_COMMANDS, SLOW_STDLIB
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs fedgame.cli as __main__ with the given arguments, then reports on
-# stderr whether numpy was loaded, the exit code and the fedgame modules loaded
+# stderr whether numpy was loaded, the exit code, the fedgame modules loaded
+# and which of SLOW_STDLIB were loaded ("-" for none)
 RUN_CLI = """
 import runpy, sys
 sys.argv = ["fedgame", *{argv!r}]
@@ -25,7 +31,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = ",".join(sorted(m for m in sys.modules if m.startswith("fedgame.")))
-print("numpy" in sys.modules, code, loaded, file=sys.stderr)
+slow = ",".join(m for m in {slow!r} if m in sys.modules) or "-"
+print("numpy" in sys.modules, code, loaded, slow, file=sys.stderr)
 """
 
 # the public names ``import fedgame`` offered before its exports were loaded
@@ -45,20 +52,6 @@ PUBLIC_NAMES = {
     "two_size_game_config", "two_size_individually_stable", "two_size_weak_blocking_search",
 }
 
-LIGHT_COMMANDS = [
-    ["reproduce", "--all"],
-    ["errors", "--players", "5,5,25", "--mue", "10", "--sigma2", "1", "--scheme", "uniform"],
-    ["weights", "--players", "30,30,30,300", "--mue", "10", "--sigma2", "1"],
-    [
-        "stability", "--players", "5,5,25", "--mue", "10", "--sigma2", "1",
-        "--scheme", "uniform", "--partition", "{a}|{b,c}", "--notion", "core",
-    ],
-    [
-        "construct", "--uniform", "--ns", "11", "--nl", "106", "--S", "70", "--L", "7",
-        "--mue", "100", "--sigma2", "1",
-    ],
-]
-
 
 def run_python(source: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -71,13 +64,14 @@ def run_python(source: str) -> subprocess.CompletedProcess:
     )
 
 
-def cli_loads(argv: list[str]) -> tuple[bool, set[str]]:
-    """(whether numpy was loaded, the fedgame submodules loaded) by one command."""
-    result = run_python(RUN_CLI.format(argv=argv))
-    numpy, code, modules = result.stderr.split("\n")[-2].split(" ")
+def cli_loads(argv: list[str]) -> tuple[bool, set[str], set[str]]:
+    """(whether numpy was loaded, the fedgame submodules loaded, the
+    SLOW_STDLIB modules loaded) by one command, which must exit 0."""
+    result = run_python(RUN_CLI.format(argv=argv, slow=SLOW_STDLIB))
+    numpy, code, modules, slow = result.stderr.split("\n")[-2].split(" ")
     assert code == "0", result.stderr
     assert result.stdout
-    return numpy == "True", set(modules.split(","))
+    return numpy == "True", set(modules.split(",")), set(slow.split(",")) - {"-"}
 
 
 @pytest.mark.parametrize("module", ["fedgame", "fedgame.cli"])
@@ -95,7 +89,7 @@ def test_import_fedgame_loads_no_submodule():
 
 @pytest.mark.parametrize("argv", LIGHT_COMMANDS[1:3], ids=lambda argv: argv[0])
 def test_errors_and_weights_load_neither_stability_nor_constructive(argv):
-    _, modules = cli_loads(argv)
+    _, modules, _ = cli_loads(argv)
     assert "fedgame.errors" in modules
     assert not modules & {"fedgame.stability", "fedgame.constructive", "fedgame.montecarlo"}
 
@@ -143,3 +137,24 @@ def test_montecarlo_exports_resolve_on_first_use():
         """
     ).stdout
     assert out.split() == ["True", "True", "False", "True", "True", "True", "True", "True"]
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=lambda argv: argv[0])
+def test_closed_form_commands_load_no_slow_stdlib_module(argv):
+    assert cli_loads(argv)[2] == set()
+
+
+def test_options_that_need_a_slow_module_still_run(tmp_path):
+    document = tmp_path / "game.json"
+    document.write_text('{"players": [5, 5, 25], "mu_e": 10.5, "sigma_sq": 1, "scheme": "uniform"}')
+    errors = LIGHT_COMMANDS[1]
+    runs = {
+        "exact": (errors + ["--exact"], {"fractions", "decimal"}),
+        "config": (["errors", "--config", str(document)], {"json"}),
+        "config exact": (["errors", "--config", str(document), "--exact"], {"json", "fractions"}),
+        "csv": (errors + ["--format", "csv"], {"csv"}),
+        "reproduce csv": (["reproduce", "--all", "--format", "csv"], {"csv"}),
+    }
+    for name, (argv, needed) in runs.items():
+        slow = cli_loads(argv)[2]
+        assert needed <= slow and not slow & {"dataclasses", "inspect"}, name

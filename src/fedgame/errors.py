@@ -283,7 +283,13 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
     error.
     """
     ns = config.players
-    local = [_variance_term(config, n) for n in ns]
+    mu_e = config.mu_e
+    # each player's local error, as ``_variance_term`` writes it
+    if config.linreg is None:
+        local = [mu_e / n for n in ns]
+    else:
+        d = config.linreg.d
+        local = [mu_e * d / (n - d - 1) for n in ns]
     if isinstance(scheme, Local):
 
         def local_error(j: int, total: int, square: int, terms: None) -> Number:
@@ -360,13 +366,11 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             raise _overflow(scheme, n, total)
 
         return Formula(fine_optimal, _listed)
-    mu_e, bias_coef = config.mu_e, _bias_coef(config)
+    bias_coef = _bias_coef(config)
     global_variance = None
     if config.linreg is not None:
-        d = config.linreg.d
         num = [mu_e * n * n * d for n in ns]
         den = [n - d - 1 for n in ns]
-        scaled = [n * n * d for n in ns]
 
         def global_variance(members: Sequence[int], total: int) -> Optional[Number]:
             """Variance of the coalition's sample-weighted model, from each
@@ -377,8 +381,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             N*N is taken once; the terms are summed in member order.  A float
             mu_e near the top of the float range overflows a numerator; only
             then is the sum taken again with mu_e factored out of each
-            numerator (``scaled`` is n_i*n_i*d), so every finite result keeps
-            its bits."""
+            numerator, n_i*n_i*d, so every finite result keeps its bits."""
             if len(members) == 1:
                 return None
             square_total = total * total
@@ -389,7 +392,8 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return variance
             variance = 0
             for i in members:
-                variance += scaled[i] / (den[i] * square_total)
+                n = ns[i]
+                variance += n * n * d / (den[i] * square_total)
             variance = mu_e * variance
             if variance < _INF:
                 return variance

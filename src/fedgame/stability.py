@@ -11,7 +11,10 @@ call of that closed form per member asked about: its sample sums come from
 the coalition without its lowest player, its members are listed only for a
 scheme with a shared term, and that term is taken once per visit.  The
 table (``_ErrorTable``) keeps, per mask reached, its sums and each member
-error asked about, in flat dicts keyed by mask.
+error asked about, in flat dicts keyed by mask.  A one-player mask (a
+partition's one-player block, or a player's stay-alone check) skips the
+member list, sums and block dict of ``_ErrorTable.filled``: its error is
+one call of the closed form with N = n_j (``_ErrorTable.alone``).
 
 The scans work on a partition as its tuple of block bitmasks: the public
 verdicts read their ``Partition``'s ``masks``, and the stable-set search
@@ -68,6 +71,11 @@ FLOAT_MODE = "float-epsilon"
 EXACT_MODE = "exact-rational"
 
 
+def _check_type(name: str, value: object, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name}: must be a {kind.__name__}, got {type(value).__name__}")
+
+
 class PreferenceOrder(Record):
     """Comparison policy for "prefers" between expected errors."""
 
@@ -80,6 +88,11 @@ class PreferenceOrder(Record):
         _check_finite("preference epsilon", self.epsilon)
         if self.epsilon < 0:
             raise ValidationError("preference epsilon must be non-negative")
+        if self.epsilon >= 1:
+            # the strict edge cur*(1-eps) would be at most 0, so no positive
+            # error could ever be strictly preferred
+            raise ValidationError(f"preference epsilon must be below 1, got {self.epsilon!r}")
+        _check_type("preference exact", self.exact, bool)
 
     def bounds(self, current: Sequence[Number]) -> tuple[list[Number], list[Number]]:
         """Per-value decision edges ``(lower, upper)``: ``new`` is strictly
@@ -155,13 +168,16 @@ class _ErrorTable:
     The other callers go through ``coalition``, which starts from the
     members.  The scans read and fill ``memo`` inline, without a method call
     per coalition or member: they run once per partition in a stable-set
-    search.  ``filled`` keeps each partition block's whole error dict, which
-    every later partition with that block reads again.
+    search.  ``filled`` keeps each partition block of two or more players'
+    whole error dict, which every later partition with that block reads
+    again.  A one-player mask skips ``filled``: ``alone`` reads or makes its
+    one memo entry, and stores the mask's ``coalitions`` entry beside it.
     """
 
     def __init__(
         self, config: GameConfig, scheme: FederationScheme, prefs: PreferenceOrder
     ) -> None:
+        _check_type("prefs", prefs, PreferenceOrder)
         if isinstance(scheme, Fine):
             raise ValidationError(
                 "fine-grained rows are tied to one partition; stability search "
@@ -213,13 +229,33 @@ class _ErrorTable:
             self._blocks[mask] = values
         return values
 
+    def alone(self, j: int) -> Number:
+        """Player j's error alone, in mask ``1 << j``: one call of ``error``
+        with N = n_j and Q = n_j^2, and the shared term of ``[j]`` only for a
+        scheme with one.  The mask's ``coalitions`` entry is stored with the
+        error, for the ascending scan to extend."""
+        bit = 1 << j
+        err = self.memo[j].get(bit)
+        if err is None:
+            n = self.ns[j]
+            square = n * n
+            members = None if self.shared is None else [j]
+            self.coalitions[bit] = n, square, members
+            terms = None if members is None else self.shared(members, n)
+            err = self.memo[j][bit] = self.error(j, n, square, terms)
+        return err
+
     def current_errors(self, masks: Sequence[int]) -> list[Number]:
         """Every player's error in its own coalition, indexed by player,
         given the partition's block masks."""
         current: list[Number] = [0] * len(self.ns)
         for mask in masks:
-            for j, err in self.filled(mask).items():
-                current[j] = err
+            if mask & (mask - 1):
+                for j, err in self.filled(mask).items():
+                    current[j] = err
+            else:
+                j = mask.bit_length() - 1
+                current[j] = self.alone(j)
         return current
 
 
@@ -229,6 +265,7 @@ def _require_cap(m: int, cap: int, what: str) -> None:
 
 
 def _check_partition(partition: Partition, config: GameConfig) -> None:
+    _check_type("partition", partition, Partition)
     if partition.player_count != len(config.players):
         raise ValidationError(
             f"partition covers {partition.player_count} players, "
@@ -381,7 +418,7 @@ def _individual_deviation(
             else:
                 return i, joined
         if allow_singleton_deviation and own != bit:
-            if table.filled(bit)[i] < lower[i]:
+            if table.alone(i) < lower[i]:
                 return i, bit
     return None
 
@@ -395,6 +432,7 @@ def is_individually_stable(
 ) -> StabilityVerdict:
     """No player strictly gains by joining an existing coalition (members
     weakly agreeing) or, unless disabled, by leaving to be alone."""
+    _check_type("allow_singleton_deviation", allow_singleton_deviation, bool)
     table = _verdict_table(partition, scheme, config, prefs, "individual stability")
     found = _individual_deviation(
         partition.masks, partition.player_count, table, prefs, allow_singleton_deviation

@@ -1,8 +1,9 @@
-"""A record and start-up smoke check that needs no pytest.
+"""A record, verdict and start-up smoke check that needs no pytest.
 
 ``RECORDS`` builds every public record by keyword and by position, with the
 repr both must print; ``check_*`` assert how a record behaves, and
 ``tests/test_records.py`` runs the same checks under pytest.
+``check_verdicts`` asks three known verdicts, in float and exact mode.
 ``check_start_up`` runs each closed-form command in a fresh interpreter and
 asserts that it exits 0 without loading a module of ``SLOW_STDLIB``.  Run
 it from the repository root on any supported CPython; without numpy it
@@ -44,6 +45,8 @@ from fedgame import (
     TwoSizeDeviation,
     TwoSizeGame,
     Uniform,
+    is_core_stable,
+    is_individually_stable,
 )
 
 PAIR = Coalition((0, 1))
@@ -232,6 +235,20 @@ def check_round_trips(by_keyword, by_position, text: str) -> None:
 
 RECORD_CHECKS = (check_construction, check_class_only_equality, check_frozen, check_round_trips)
 
+def check_verdicts() -> None:
+    """The singletons of (5, 5, 25) are blocked by {a,b}, and the (5, 5, 5)
+    grand coalition is core and individually stable, in both modes."""
+    grand, config = Partition.grand(3), GameConfig((5, 5, 5), 10, 1)
+    for prefs in (PreferenceOrder(), PreferenceOrder(exact=True)):
+        blocked = is_core_stable(
+            Partition.singletons(3), Uniform(), GameConfig((5, 5, 25), 10, 1), prefs
+        )
+        assert (blocked.stable, blocked.witness) == (False, PAIR), blocked
+        for verdict_of in (is_core_stable, is_individually_stable):
+            verdict = verdict_of(grand, Uniform(), config, prefs)
+            assert verdict.stable and verdict.comparisons_mode == prefs.mode, verdict
+
+
 # standard-library modules that no closed-form command loads without an
 # option that needs one (--exact, --config, --format csv); dataclasses
 # brings inspect, fractions brings decimal
@@ -280,5 +297,7 @@ if __name__ == "__main__":
         for case in RECORDS:
             check(*case)
     print(f"records ok: {len(RECORDS)} records, {len(RECORD_CHECKS)} checks each")
+    check_verdicts()
+    print("verdicts ok: core and individual, float and exact")
     check_start_up()
     print(f"start-up ok: {len(LIGHT_COMMANDS)} commands load none of {', '.join(SLOW_STDLIB)}")

@@ -86,6 +86,8 @@ def test_a_call_that_does_not_bind_raises_type_error(build):
         (lambda: DistributionSpec(theta_mean=float("nan")), "theta_mean"),
         (lambda: TrialPlan(trials=0, seed=1), "trials"),
         (lambda: PreferenceOrder(epsilon=-1.0), "epsilon"),
+        (lambda: PreferenceOrder(epsilon=2.0), "epsilon must be below 1"),
+        (lambda: PreferenceOrder(exact="yes"), "exact: must be a bool"),
         (lambda: FineWeights(player=2, row={0: 1.0}), "own player"),
     ],
 )

@@ -110,6 +110,31 @@ def test_singleton_deviation_flag():
     assert allowed.stable  # joining is impossible in the grand coalition
 
 
+VERDICTS = (is_core_stable, is_strict_core_stable, is_individually_stable)
+
+
+@pytest.mark.parametrize("verdict", VERDICTS)
+def test_verdicts_refuse_ill_typed_arguments(verdict):
+    grand = Partition.grand(3)
+    with pytest.raises(ValidationError, match="partition: must be a Partition, got list"):
+        verdict([[0, 1, 2]], Uniform(), T1)
+    for prefs in (None, "exact", False):
+        with pytest.raises(ValidationError, match="prefs: must be a PreferenceOrder"):
+            verdict(grand, Uniform(), T1, prefs)
+
+
+def test_individual_stability_refuses_a_flag_that_is_not_a_bool():
+    for flag in ("no", 0, None):
+        with pytest.raises(ValidationError, match="allow_singleton_deviation: must be a bool"):
+            is_individually_stable(Partition.grand(3), Uniform(), T3, PreferenceOrder(), flag)
+
+
+def test_stable_set_search_refuses_prefs_that_are_not_a_preference_order():
+    for prefs in (None, "exact", True):
+        with pytest.raises(ValidationError, match="prefs: must be a PreferenceOrder"):
+            find_stable_partitions(T1, Uniform(), "core", prefs)
+
+
 def test_fine_scheme_rejected_for_stability():
     with pytest.raises(ValidationError, match="fine-grained rows"):
         is_core_stable(Partition.grand(2), Fine({0: {0: 1, 1: 0}}), GameConfig((5, 5), 10, 1))
@@ -218,14 +243,23 @@ def _formula_seam(monkeypatch):
 
 
 def test_single_verdict_computes_only_the_masks_it_scans(monkeypatch):
-    # {a,b} blocks the singletons (n < mu_e/sigma_sq), so the scan stops at
-    # mask 3 and must not have built the whole 2^14 - 1 table.
+    # {a,b} blocks the singletons (n < mu_e/sigma_sq), and player 0 gains by
+    # joining player 1, so the scan stops at mask 3 and must not have built
+    # the whole 2^14 - 1 table.  In the grand coalition no player can join
+    # another block, and no player gains alone: the individual scan builds
+    # the grand mask and each player's own mask, once each.
     m = 14
     config = GameConfig((5,) * m, 10, 1)
-    computed = _formula_seam(monkeypatch).built
-    verdict = is_core_stable(Partition.singletons(m), Uniform(), config)
-    assert not verdict.stable and verdict.witness == Coalition((0, 1))
-    assert sorted(computed) == sorted([1 << j for j in range(m)] + [3])
+    own = [1 << j for j in range(m)]
+    for verdict_of, partition, witness, visited in (
+        (is_core_stable, Partition.singletons(m), Coalition((0, 1)), 3),
+        (is_individually_stable, Partition.singletons(m), Deviation(0, Coalition((0, 1))), 3),
+        (is_individually_stable, Partition.grand(m), None, (1 << m) - 1),
+    ):
+        computed = _formula_seam(monkeypatch).built
+        verdict = verdict_of(partition, Uniform(), config)
+        assert (verdict.stable, verdict.witness) == (witness is None, witness)
+        assert sorted(computed) == sorted(own + [visited])
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -451,8 +485,22 @@ def test_preference_order_refuses_a_bad_epsilon():
             PreferenceOrder(epsilon=bad)
     with pytest.raises(ValidationError, match="non-negative"):
         PreferenceOrder(epsilon=-1e-9)
+    # from epsilon 1 on, no positive error is strictly preferred to another,
+    # so every core verdict would answer stable
+    for bad in (1, 1.0, 2.0, Fraction(3, 2)):
+        with pytest.raises(ValidationError, match="below 1"):
+            PreferenceOrder(epsilon=bad)
+    verdict = is_core_stable(Partition.singletons(3), Uniform(), T2, PreferenceOrder(epsilon=0.2))
+    assert verdict.witness == Coalition((0, 1))
     assert PreferenceOrder(epsilon=0).strictly_less(1.0, 2.0)
     assert PreferenceOrder(epsilon=Fraction(1, 10**9)).strictly_less(1.0, 2.0)
+
+
+def test_preference_order_refuses_an_exact_flag_that_is_not_a_bool():
+    # a truthy value that is not a bool would switch to exact mode
+    for bad in ("yes", 1, 0, None):
+        with pytest.raises(ValidationError, match="preference exact: must be a bool"):
+            PreferenceOrder(exact=bad)
 
 
 @pytest.mark.parametrize("epsilon", [1e-9, 0, 1e-4, Fraction(1, 10**6)])

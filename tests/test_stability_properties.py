@@ -30,6 +30,7 @@ from fedgame import (
     is_core_stable,
     is_individually_stable,
     is_strict_core_stable,
+    player_errors,
     two_size_blocking_search,
     two_size_game_config,
     two_size_individually_stable,
@@ -199,20 +200,39 @@ def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
     # ``filled`` takes each mask's sums and shared term from its members, in
     # ascending or shuffled order; after a blocking scan, the masks it
     # reached hold what the scan computed from the mask without their
-    # lowest player, which ``filled`` reads back.
+    # lowest player, which ``filled`` reads back.  ``current_errors`` takes a
+    # one-player block's error from ``alone``, and its mask's entry is what
+    # a later scan extends: against a random partition, on a fresh table,
+    # after a scan and after every mask is filled, it equals
+    # ``player_errors``.
     config, scheme, prefs = table_game
     errors_of = _error_layer(config, scheme, prefs)
     m = len(config.players)
+    labels = [rng.randrange(m) for _ in range(m)]
+    partition = Partition.from_blocks(
+        [[j for j in range(m) if labels[j] == b] for b in sorted(set(labels))]
+    )
+    layer_config, layer_scheme = (
+        (exact_config(config), exact_scheme(scheme)) if prefs.exact else (config, scheme)
+    )
+    current = _typed(player_errors(partition, layer_scheme, layer_config).values)
     ascending = range(1, 1 << m)
     shuffled = list(ascending)
     rng.shuffle(shuffled)
-    for order, scanned in ((ascending, False), (shuffled, False), (ascending, True)):
+    for order, scanned in (
+        (ascending, None),
+        (shuffled, None),
+        (ascending, ((1 << m) - 1,)),
+        (ascending, partition.masks),
+    ):
         table = _ErrorTable(config, scheme, prefs)
-        if scanned:
-            _blocking_coalition(((1 << m) - 1,), m, table, prefs, strict_notion=True)
+        if scanned is not None:
+            _blocking_coalition(scanned, m, table, prefs, strict_notion=True)
+        assert _typed(dict(enumerate(table.current_errors(partition.masks)))) == current
         for mask in order:
             expected = errors_of(Coalition.from_mask(mask))
             assert _typed(table.filled(mask)) == _typed(expected), mask
+        assert _typed(dict(enumerate(table.current_errors(partition.masks)))) == current
 
 
 @PROPERTY_SETTINGS

@@ -23,6 +23,7 @@ from .model import (
     TwoSizeGame,
     Uniform,
     ValidationError,
+    _check_type,
     _is_count,
     check_profiles,
     check_two_size_config,
@@ -100,6 +101,7 @@ def classify_equal_samples(
     coarse-grained federation: the grand coalition is always the unique
     core partition.
     """
+    _check_type("config", config, GameConfig)
     if not _is_count(n) or config.players != (n,) * m:
         raise ValidationError(
             f"equal-sample classification needs config players {m} x {n!r} samples, "

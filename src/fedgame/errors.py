@@ -51,6 +51,7 @@ from .model import (
     TwoSizeGame,
     Uniform,
     ValidationError,
+    _check_type,
     scheme_name,
 )
 
@@ -446,6 +447,7 @@ def member_formula(
     to the scheme's ``scheme_formula`` error: the one path to every
     coalition-member error outside the stability scans.
     """
+    _check_type("config", config, GameConfig)
     if not members:
         raise ValidationError("coalition: must be non-empty")
     _check_player(min(members), config)
@@ -480,6 +482,7 @@ def coalition_member_mse(
 
 def mse_local(j: int, config: GameConfig) -> Number:
     """Expected MSE of local estimation: mu_e/n_j, or mu_e*d/(n_j-d-1)."""
+    _check_type("config", config, GameConfig)
     _check_player(j, config)
     return _variance_term(config, config.players[j])
 
@@ -505,6 +508,8 @@ def player_errors(
     partition: Partition, scheme: FederationScheme, config: GameConfig
 ) -> ErrorReport:
     """Evaluate every player within its own coalition of the partition."""
+    _check_type("partition", partition, Partition)
+    _check_type("config", config, GameConfig)
     if partition.player_count != len(config.players):
         raise ValidationError(
             f"partition covers {partition.player_count} players, "

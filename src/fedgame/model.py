@@ -203,6 +203,11 @@ def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_type(name: str, value: object, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name}: must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _check_finite(name: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name}: must be a real number, got {value!r}")
@@ -492,6 +497,7 @@ def check_profiles(game: TwoSizeGame, profiles: Sequence[tuple[int, int]]) -> No
 def check_two_size_config(game: TwoSizeGame, config: GameConfig) -> None:
     """A two-size game's config: mean estimation (no linreg spec) with
     players exactly S x n_s then L x n_l samples."""
+    _check_type("config", config, GameConfig)
     if config.linreg is not None:
         raise ValidationError(
             "two-size games cover mean estimation only; config has a linreg spec"

@@ -7,14 +7,22 @@ Member errors are computed per member, on demand: a candidate coalition is
 settled by its first member who does not gain, and the members after that
 one are never evaluated.  The scheme is resolved once per error table, to
 the ``errors.Formula`` of its closed form, and a coalition costs one direct
-call of that closed form per member asked about: its sample sums come from
-the coalition without its lowest player, its members are listed only for a
-scheme with a shared term, and that term is taken once per visit.  The
-table (``_ErrorTable``) keeps, per mask reached, its sums and each member
-error asked about, in flat dicts keyed by mask.  A one-player mask (a
-partition's one-player block, or a player's stay-alone check) skips the
-member list, sums and block dict of ``_ErrorTable.filled``: its error is
-one call of the closed form with N = n_j (``_ErrorTable.alone``).
+call of that closed form per member asked about: its sample sums are read
+from flat per-mask lists, its members are listed only for a scheme with a
+shared term, and that term is taken once per visit.  The table
+(``_ErrorTable``) builds those lists one top player at a time: the masks in
+``[2^t, 2^(t+1))`` are the masks below ``2^t`` plus player t.
+
+A single core or strict-core verdict scans on a table of its own and keeps
+no member memo: it extends the sum lists only as far as it scans,
+evaluates each member at most once and skips the partition's own blocks
+(``_single_blocking_coalition``).  The stable-set search shares one table
+between Bell(m) partitions that revisit the same masks: it builds all 2^m
+sums up front and memoises member errors in per-player dicts keyed by mask
+(``_blocking_coalition``).  A one-player mask (a partition's one-player
+block, or a player's stay-alone check) skips the member list, sums and
+block dict of ``_ErrorTable.filled``: its error is one call of the closed
+form with N = n_j (``_ErrorTable.alone``).
 
 The scans work on a partition as its tuple of block bitmasks: the public
 verdicts read their ``Partition``'s ``masks``, and the stable-set search
@@ -59,6 +67,7 @@ from .model import (
     TwoSizeGame,
     ValidationError,
     _check_finite,
+    _check_type,
     _mask_members,
     _partition_masks,
     check_profiles,
@@ -69,11 +78,6 @@ from .model import (
 
 FLOAT_MODE = "float-epsilon"
 EXACT_MODE = "exact-rational"
-
-
-def _check_type(name: str, value: object, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise ValidationError(f"{name}: must be a {kind.__name__}, got {type(value).__name__}")
 
 
 class PreferenceOrder(Record):
@@ -150,28 +154,29 @@ class StabilityVerdict(Record):
 
 class _ErrorTable:
     """Member errors keyed by player and coalition bitmask, computed per
-    member on demand.
+    member on demand, and the sample sums of every mask below ``2^t``.
 
     The scheme is resolved once, in ``__init__``, to the ``errors.Formula``
     ``(error, shared)``.  ``memo[j]`` maps a mask to player j's error in its
-    coalition.  ``coalitions`` maps a mask to ``(N, Q, members)``: its sample
-    sums and, only for a scheme with a shared term, its member list in
-    ascending order (else None).  A mask gets that entry the first time a
-    member error in it is computed, so every mask with a memoized error has
-    one; nothing is stored before a scan reaches it.  The shared term is
+    coalition.  ``totals[mask]`` and ``squares[mask]`` are the mask's sample
+    sums N and Q and, only for a scheme with a shared term,
+    ``members[mask]`` its member list in ascending order (else ``members``
+    is None).  The lists start at mask 0 and grow one top player at a time
+    (``extend``): the masks in ``[2^t, 2^(t+1))`` are the masks below
+    ``2^t`` plus player t, one list comprehension each.  A mask beyond them
+    takes its sums from its members (``coalition``).  The shared term is
     taken at most once per visit to a mask, when a member asked about is
     missing.
 
-    ``_blocking_coalition`` visits masks in ascending order, so the mask
-    without its lowest player always has its entry: the scan extends it
-    inline (integer sums are exact in any order; mask 0's entry is empty).
-    The other callers go through ``coalition``, which starts from the
-    members.  The scans read and fill ``memo`` inline, without a method call
-    per coalition or member: they run once per partition in a stable-set
-    search.  ``filled`` keeps each partition block of two or more players'
-    whole error dict, which every later partition with that block reads
-    again.  A one-player mask skips ``filled``: ``alone`` reads or makes its
-    one memo entry, and stores the mask's ``coalitions`` entry beside it.
+    The stable-set search extends the lists over all 2^m masks up front and
+    runs ``_blocking_coalition`` on each partition, reading and filling
+    ``memo`` inline, without a method call per coalition or member.  A
+    single core or strict-core verdict runs ``_single_blocking_coalition``
+    instead: it extends the lists only as far as it scans and keeps no
+    member memo.  ``filled`` keeps each partition block of two or more
+    players' whole error dict, which every later partition with that block
+    reads again.  A one-player mask skips ``filled``: ``alone`` reads or
+    makes its one memo entry.
     """
 
     def __init__(
@@ -188,27 +193,38 @@ class _ErrorTable:
             scheme = exact_scheme(scheme)
         self.error, self.shared = scheme_formula(scheme, config)
         self.ns = config.players
-        self.coalitions: dict[int, tuple[int, int, Optional[list[int]]]] = {
-            0: (0, 0, None if self.shared is None else [])
-        }
+        self.totals: list[int] = [0]
+        self.squares: list[int] = [0]
+        self.members: Optional[list[list[int]]] = None if self.shared is None else [[]]
         self.memo: list[dict[int, Number]] = [{} for _ in config.players]
         self._blocks: dict[int, dict[int, Number]] = {}
+
+    def extend(self, top: int) -> None:
+        """Give the sum lists every mask below ``2^top``: per player t not
+        yet added, each mask below ``2^t`` again with player t."""
+        totals, squares, members = self.totals, self.squares, self.members
+        for t in range(len(totals).bit_length() - 1, top):
+            n = self.ns[t]
+            square = n * n
+            totals += [total + n for total in totals]
+            squares += [sq + square for sq in squares]
+            if members is not None:
+                members += [[*listed, t] for listed in members]
 
     def coalition(
         self, mask: int, members: Optional[list[int]] = None
     ) -> tuple[int, int, Any]:
         """The mask's sample sums N and Q and its shared term; ``members``,
         when given, are the mask's members in ascending order."""
-        entry = self.coalitions.get(mask)
-        if entry is None:
+        if mask < len(self.totals):
+            total, square = self.totals[mask], self.squares[mask]
+            if self.members is not None:
+                members = self.members[mask]
+        else:
             if members is None:
                 members = _mask_members(mask)
             total, square = _sample_sums(members, self.ns)
-            entry = self.coalitions[mask] = (
-                total, square, None if self.shared is None else members
-            )
-        total, square, members = entry
-        return total, square, None if members is None else self.shared(members, total)
+        return total, square, None if self.shared is None else self.shared(members, total)
 
     def filled(self, mask: int) -> dict[int, Number]:
         """Every member's error in the mask's coalition, by player.  The
@@ -232,17 +248,13 @@ class _ErrorTable:
     def alone(self, j: int) -> Number:
         """Player j's error alone, in mask ``1 << j``: one call of ``error``
         with N = n_j and Q = n_j^2, and the shared term of ``[j]`` only for a
-        scheme with one.  The mask's ``coalitions`` entry is stored with the
-        error, for the ascending scan to extend."""
+        scheme with one."""
         bit = 1 << j
         err = self.memo[j].get(bit)
         if err is None:
             n = self.ns[j]
-            square = n * n
-            members = None if self.shared is None else [j]
-            self.coalitions[bit] = n, square, members
-            terms = None if members is None else self.shared(members, n)
-            err = self.memo[j][bit] = self.error(j, n, square, terms)
+            terms = None if self.shared is None else self.shared([j], n)
+            err = self.memo[j][bit] = self.error(j, n, n * n, terms)
         return err
 
     def current_errors(self, masks: Sequence[int]) -> list[Number]:
@@ -266,6 +278,7 @@ def _require_cap(m: int, cap: int, what: str) -> None:
 
 def _check_partition(partition: Partition, config: GameConfig) -> None:
     _check_type("partition", partition, Partition)
+    _check_type("config", config, GameConfig)
     if partition.player_count != len(config.players):
         raise ValidationError(
             f"partition covers {partition.player_count} players, "
@@ -281,7 +294,9 @@ def _blocking_coalition(
     strict_notion: bool,
 ) -> Optional[int]:
     """Mask of the first blocking coalition in ascending-bitmask order, if
-    any, against the partition with block masks ``masks``.
+    any, against the partition with block masks ``masks``, reading and
+    filling the table's member memo.  The table's sum lists must cover all
+    2^m masks (``_ErrorTable.extend(m)``).
 
     strict_notion=False: every member strictly gains (core blocking).
     strict_notion=True: every member weakly gains, at least one strictly.
@@ -291,34 +306,21 @@ def _blocking_coalition(
     """
     lower, upper = prefs.bounds(table.current_errors(masks))
     error, shared, memo = table.error, table.shared, table.memo
-    coalitions, ns = table.coalitions, table.ns
+    totals, squares, listed = table.totals, table.squares, table.members
     for mask in range(1, 1 << m):
         low = mask & -mask
         j = low.bit_length() - 1
         rest = mask ^ low
-        total = None
+        terms = total = None
         strict = False
         while True:
             err = memo[j].get(mask)
             if err is None:
                 if total is None:
-                    entry = coalitions.get(mask)
-                    if entry is None:
-                        # extend the entry of the mask without its lowest
-                        # player, visited earlier in this scan
-                        bottom = mask & -mask
-                        i = bottom.bit_length() - 1
-                        total, square, members = coalitions[mask ^ bottom]
-                        n = ns[i]
-                        total += n
-                        square += n * n
-                        if members is not None:
-                            members = [i] + members
-                        coalitions[mask] = total, square, members
-                    else:
-                        total, square, members = entry
-                    terms = None if members is None else shared(members, total)
-                err = memo[j][mask] = error(j, total, square, terms)
+                    total = totals[mask]
+                    if listed is not None:
+                        terms = shared(listed[mask], total)
+                err = memo[j][mask] = error(j, total, squares[mask], terms)
             if err < lower[j]:
                 strict = True
             elif not (strict_notion and err <= upper[j]):
@@ -330,6 +332,59 @@ def _blocking_coalition(
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
+    return None
+
+
+def _single_blocking_coalition(
+    masks: Sequence[int],
+    m: int,
+    table: _ErrorTable,
+    prefs: PreferenceOrder,
+    strict_notion: bool,
+) -> Optional[int]:
+    """``_blocking_coalition`` for one partition on a fresh table of its
+    own: the same mask, computed without a member memo.
+
+    The scan extends the table's sum lists one top player at a time, only
+    as far as it scans, and evaluates each member at most once.  It skips
+    the partition's own blocks: their members' errors are the current ones,
+    already filled for the bounds, so they cannot block.  ``memo`` ends up
+    holding those blocks' errors only.
+    """
+    lower, upper = prefs.bounds(table.current_errors(masks))
+    error, shared, ns = table.error, table.shared, table.ns
+    totals, squares, listed = table.totals, table.squares, table.members
+    own = set(masks)
+    for top in range(m):
+        # ``_ErrorTable.extend(top + 1)``, inline: a method call per level
+        # shows on a verdict whose witness is among the first masks
+        n = ns[top]
+        n_square = n * n
+        totals += [total + n for total in totals]
+        squares += [sq + n_square for sq in squares]
+        if listed is not None:
+            listed += [[*members, top] for members in listed]
+        for mask in range(1 << top, 2 << top):
+            if mask in own:
+                continue
+            total = totals[mask]
+            square = squares[mask]
+            terms = None if listed is None else shared(listed[mask], total)
+            rest = mask
+            strict = False
+            while True:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                err = error(j, total, square, terms)
+                if err < lower[j]:
+                    strict = True
+                elif not (strict_notion and err <= upper[j]):
+                    break
+                rest ^= low
+                if not rest:
+                    if strict:
+                        return mask
+                    break
     return None
 
 
@@ -355,7 +410,9 @@ def _core_verdict(
 ) -> StabilityVerdict:
     what = "strict core stability" if strict_notion else "core stability"
     table = _verdict_table(partition, scheme, config, prefs, what)
-    mask = _blocking_coalition(partition.masks, partition.player_count, table, prefs, strict_notion)
+    mask = _single_blocking_coalition(
+        partition.masks, partition.player_count, table, prefs, strict_notion
+    )
     witness = None if mask is None else Coalition._trusted(mask)
     return StabilityVerdict(witness is None, witness, prefs.mode)
 
@@ -455,9 +512,12 @@ def find_stable_partitions(
     only for each one returned."""
     if notion not in NOTIONS:
         raise ValidationError(f"unknown stability notion {notion!r}, expected {NOTIONS}")
+    _check_type("config", config, GameConfig)
     m = len(config.players)
     _require_cap(m, MAX_PARTITION_PLAYERS, "stable-partition search")
     table = _ErrorTable(config, scheme, prefs)
+    # Bell(m) partitions revisit the same masks: every mask's sums up front
+    table.extend(m)
     if notion == "individual":
         stable = (
             masks for masks in _partition_masks(m)

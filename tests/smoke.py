@@ -3,7 +3,8 @@
 ``RECORDS`` builds every public record by keyword and by position, with the
 repr both must print; ``check_*`` assert how a record behaves, and
 ``tests/test_records.py`` runs the same checks under pytest.
-``check_verdicts`` asks three known verdicts, in float and exact mode.
+``check_verdicts`` asks known verdicts, three of them full scans of an
+optimal grand coalition, in float and exact mode.
 ``check_start_up`` runs each closed-form command in a fresh interpreter and
 asserts that it exits 0 without loading a module of ``SLOW_STDLIB``.  Run
 it from the repository root on any supported CPython; without numpy it
@@ -47,6 +48,7 @@ from fedgame import (
     Uniform,
     is_core_stable,
     is_individually_stable,
+    is_strict_core_stable,
 )
 
 PAIR = Coalition((0, 1))
@@ -237,8 +239,12 @@ RECORD_CHECKS = (check_construction, check_class_only_equality, check_frozen, ch
 
 def check_verdicts() -> None:
     """The singletons of (5, 5, 25) are blocked by {a,b}, and the (5, 5, 5)
-    grand coalition is core and individually stable, in both modes."""
+    grand coalition is core and individually stable, in both modes.  Below
+    the threshold, the optimal grand coalition of eight players is core and
+    strict-core stable: a full scan of its 255 coalitions, with member lists
+    under fine-optimal federation and without under coarse-optimal."""
     grand, config = Partition.grand(3), GameConfig((5, 5, 5), 10, 1)
+    eight = GameConfig((2, 3, 4, 5, 6, 7, 8, 9), 100, 1)
     for prefs in (PreferenceOrder(), PreferenceOrder(exact=True)):
         blocked = is_core_stable(
             Partition.singletons(3), Uniform(), GameConfig((5, 5, 25), 10, 1), prefs
@@ -247,6 +253,10 @@ def check_verdicts() -> None:
         for verdict_of in (is_core_stable, is_individually_stable):
             verdict = verdict_of(grand, Uniform(), config, prefs)
             assert verdict.stable and verdict.comparisons_mode == prefs.mode, verdict
+        for scheme in (CoarseOptimal(), FineOptimal()):
+            for verdict_of in (is_core_stable, is_strict_core_stable):
+                verdict = verdict_of(Partition.grand(8), scheme, eight, prefs)
+                assert (verdict.stable, verdict.witness) == (True, None), verdict
 
 
 # standard-library modules that no closed-form command loads without an
@@ -298,6 +308,6 @@ if __name__ == "__main__":
             check(*case)
     print(f"records ok: {len(RECORDS)} records, {len(RECORD_CHECKS)} checks each")
     check_verdicts()
-    print("verdicts ok: core and individual, float and exact")
+    print("verdicts ok: core, strict core and individual, float and exact")
     check_start_up()
     print(f"start-up ok: {len(LIGHT_COMMANDS)} commands load none of {', '.join(SLOW_STDLIB)}")

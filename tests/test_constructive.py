@@ -83,6 +83,9 @@ def test_classification_refuses_a_config_that_is_not_its_population():
     for bad_n, players in ((5.5, (5, 5, 5)), (5.0, (5, 5, 5)), (True, (1, 1, 1))):
         with pytest.raises(ValidationError, match="equal-sample"):
             classify_equal_samples(bad_n, 3, mk_config(*players), CoarseOptimal())
+    for config in (None, [5, 5, 5], {"players": (5, 5, 5), "mu_e": 10, "sigma_sq": 1}):
+        with pytest.raises(ValidationError, match="config: must be a GameConfig"):
+            classify_equal_samples(5, 3, config, Uniform())
 
 
 # --- constructive individually stable arrangement ----------------------------------
@@ -248,6 +251,8 @@ def test_constructions_refuse_a_config_that_is_not_their_game():
             build(game, with_linreg)
         with pytest.raises(ValidationError, match="sigma_sq"):
             build(game, GameConfig(matching.players, 100, float("nan")))
+        with pytest.raises(ValidationError, match="config: must be a GameConfig, got NoneType"):
+            build(game, None)
 
 
 # --- profile partitions -----------------------------------------------------------------

@@ -252,6 +252,31 @@ def test_player_errors_rejects_mismatched_partition():
         player_errors(Partition.grand(2), Uniform(), cfg(5, 5, 5))
 
 
+@pytest.mark.parametrize(
+    "config", [None, [5, 5], {"players": (5, 5), "mu_e": 10, "sigma_sq": 1}],
+    ids=["None", "list", "dict"],
+)
+def test_the_error_layer_refuses_a_config_that_is_not_a_game_config(config):
+    refused = f"config: must be a GameConfig, got {type(config).__name__}$"
+    pair = Coalition((0, 1))
+    calls = (
+        lambda: player_errors(Partition.grand(2), Uniform(), config),
+        lambda: coalition_errors(pair, CoarseOptimal(), config),
+        lambda: coalition_errors([0, 1], FineOptimal(), config),
+        lambda: coalition_member_mse(0, pair, Uniform(), config),
+        lambda: mse_uniform(0, pair, config),
+        lambda: mse_local(0, config),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match=refused):
+            call()
+
+
+def test_player_errors_refuses_a_partition_that_is_not_a_partition():
+    with pytest.raises(ValidationError, match="partition: must be a Partition, got list"):
+        player_errors([[0, 1]], Uniform(), cfg(5, 5))
+
+
 # --- two-size profile errors ----------------------------------------------------------
 
 

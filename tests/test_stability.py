@@ -135,6 +135,24 @@ def test_stable_set_search_refuses_prefs_that_are_not_a_preference_order():
             find_stable_partitions(T1, Uniform(), "core", prefs)
 
 
+@pytest.mark.parametrize(
+    "config", [None, [5, 5], {"players": (5, 5), "mu_e": 10, "sigma_sq": 1}],
+    ids=["None", "list", "dict"],
+)
+def test_verdicts_and_the_search_refuse_a_config_that_is_not_a_game_config(
+    monkeypatch, config
+):
+    refused = f"config: must be a GameConfig, got {type(config).__name__}$"
+    seam = _formula_seam(monkeypatch)
+    for verdict in VERDICTS:
+        with pytest.raises(ValidationError, match=refused):
+            verdict(Partition.grand(2), Uniform(), config)
+    with pytest.raises(ValidationError, match=refused):
+        find_stable_partitions(config, Uniform(), "core")
+    # refused before the scheme is resolved, so before any mask is built
+    assert seam.resolved == 0 and seam.built == []
+
+
 def test_fine_scheme_rejected_for_stability():
     with pytest.raises(ValidationError, match="fine-grained rows"):
         is_core_stable(Partition.grand(2), Fine({0: {0: 1, 1: 0}}), GameConfig((5, 5), 10, 1))
@@ -591,6 +609,9 @@ def test_two_size_searches_refuse_a_config_that_is_not_their_game():
             search(COUNTEREX_GAME, arrangement, Uniform(), with_linreg)
         with pytest.raises(ValidationError, match="two-size game"):
             search(COUNTEREX_GAME, arrangement, Uniform(), unrelated)
+        for config in (None, list(matching.players)):
+            with pytest.raises(ValidationError, match="config: must be a GameConfig"):
+                search(COUNTEREX_GAME, arrangement, Uniform(), config)
 
 
 def test_two_size_arrangement_validation():

@@ -36,8 +36,15 @@ from fedgame import (
     two_size_individually_stable,
     two_size_weak_blocking_search,
 )
-from fedgame.model import NOTIONS
-from fedgame.stability import Deviation, PreferenceOrder, _ErrorTable, _blocking_coalition
+from fedgame.model import NOTIONS, _mask_members
+from fedgame.errors import _sample_sums
+from fedgame.stability import (
+    Deviation,
+    PreferenceOrder,
+    _ErrorTable,
+    _blocking_coalition,
+    _single_blocking_coalition,
+)
 from test_config_properties import MAX_COUNT, PROPERTY_SETTINGS, build, config_arguments
 
 
@@ -180,12 +187,14 @@ def test_verdicts_and_stable_sets_do_not_depend_on_the_scale(game, k2, k10, noti
 
 
 @st.composite
-def tables(draw):
-    """(config, scheme, prefs) with 1 to 6 players, mean estimation or
-    linear regression."""
+def tables(draw, max_players=6):
+    """(config, scheme, prefs) with 1 to ``max_players`` players, mean
+    estimation or linear regression."""
     players, mu_e, sigma_sq, linreg = draw(config_arguments())
     low = 1 if linreg is None else linreg[0] + 2
-    players += tuple(draw(st.lists(st.integers(low, MAX_COUNT), max_size=6 - len(players))))
+    players += tuple(
+        draw(st.lists(st.integers(low, MAX_COUNT), max_size=max_players - len(players)))
+    )
     config = build(players, mu_e, sigma_sq, linreg)
     return config, _schemes(draw, len(players)), PreferenceOrder(exact=draw(st.booleans()))
 
@@ -198,13 +207,13 @@ def _typed(errors):
 @given(tables(), st.randoms(use_true_random=False))
 def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
     # ``filled`` takes each mask's sums and shared term from its members, in
-    # ascending or shuffled order; after a blocking scan, the masks it
-    # reached hold what the scan computed from the mask without their
-    # lowest player, which ``filled`` reads back.  ``current_errors`` takes a
-    # one-player block's error from ``alone``, and its mask's entry is what
-    # a later scan extends: against a random partition, on a fresh table,
-    # after a scan and after every mask is filled, it equals
-    # ``player_errors``.
+    # ascending or shuffled order, on a fresh table; from the flat sum
+    # lists, on a table extended over all masks and scanned as the
+    # stable-set search scans it; and from either, on a table a single
+    # verdict's scan extended as far as it reached.  ``current_errors``
+    # takes a one-player block's error from ``alone``: against a random
+    # partition, on a fresh table, after a scan and after every mask is
+    # filled, it equals ``player_errors``.
     config, scheme, prefs = table_game
     errors_of = _error_layer(config, scheme, prefs)
     m = len(config.players)
@@ -219,20 +228,102 @@ def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
     ascending = range(1, 1 << m)
     shuffled = list(ascending)
     rng.shuffle(shuffled)
-    for order, scanned in (
-        (ascending, None),
-        (shuffled, None),
-        (ascending, ((1 << m) - 1,)),
-        (ascending, partition.masks),
+    for order, scanned, scan in (
+        (ascending, None, None),
+        (shuffled, None, None),
+        (ascending, ((1 << m) - 1,), _blocking_coalition),
+        (ascending, partition.masks, _blocking_coalition),
+        (shuffled, partition.masks, _single_blocking_coalition),
     ):
         table = _ErrorTable(config, scheme, prefs)
-        if scanned is not None:
-            _blocking_coalition(scanned, m, table, prefs, strict_notion=True)
+        if scan is _blocking_coalition:
+            table.extend(m)
+        if scan is not None:
+            scan(scanned, m, table, prefs, strict_notion=True)
         assert _typed(dict(enumerate(table.current_errors(partition.masks)))) == current
         for mask in order:
             expected = errors_of(Coalition.from_mask(mask))
             assert _typed(table.filled(mask)) == _typed(expected), mask
         assert _typed(dict(enumerate(table.current_errors(partition.masks)))) == current
+
+
+@PROPERTY_SETTINGS
+@given(tables(max_players=8), st.booleans())
+def test_the_flat_sums_are_every_masks_sample_sums(table_game, stable):
+    # Built all at once, level by level (each level asked for twice), and by
+    # a single verdict's scan, which extends them as far as it scans: every
+    # mask below 2^t gets N and Q as ``_sample_sums`` gives them, and, for a
+    # scheme with a shared term only, its members in ascending order.
+    config, scheme, prefs = table_game
+    m = len(config.players)
+    at_once = _ErrorTable(config, scheme, prefs)
+    at_once.extend(m)
+    by_level = _ErrorTable(config, scheme, prefs)
+    for top in range(m + 1):
+        by_level.extend(top)
+        by_level.extend(top)
+        assert len(by_level.totals) == 1 << top
+    scanned = _ErrorTable(config, scheme, prefs)
+    # the grand coalition scans every mask when it is stable, the
+    # singletons of the two-or-more-player games often stop early
+    partition = Partition.grand(m) if stable else Partition.singletons(m)
+    _single_blocking_coalition(partition.masks, m, scanned, prefs, strict_notion=False)
+    for table in (at_once, by_level, scanned):
+        size = len(table.totals)
+        assert size & (size - 1) == 0 and len(table.squares) == size
+        assert (table.members is None) == (table.shared is None)
+        for mask in range(size):
+            members = _mask_members(mask)
+            sums = table.totals[mask], table.squares[mask]
+            assert [type(x) for x in sums] == [int, int]
+            assert sums == _sample_sums(members, config.players), mask
+            if table.members is not None:
+                assert table.members[mask] == members, mask
+    assert len(at_once.totals) == 1 << m
+
+
+@st.composite
+def scanned_games(draw):
+    """(config, scheme, partition, prefs) with 1 to 7 players and a random
+    partition.  Half the draws are the all-ties game, where every player's
+    count is mu_e/sigma_sq, so that uniform federation gives every member of
+    every coalition the same error."""
+    if draw(st.booleans()):
+        n, sigma_sq = draw(st.integers(1, 30)), draw(st.integers(1, 16))
+        config = GameConfig((n,) * draw(st.integers(1, 7)), n * sigma_sq, sigma_sq)
+        scheme = draw(st.sampled_from([Uniform(), CoarseOptimal(), FineOptimal()]))
+        prefs = PreferenceOrder(exact=draw(st.booleans()))
+    else:
+        config, scheme, prefs = draw(tables(max_players=7))
+    m = len(config.players)
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    blocks = [[j for j in range(m) if labels[j] == b] for b in sorted(set(labels))]
+    return config, scheme, Partition.from_blocks(blocks), prefs
+
+
+@PROPERTY_SETTINGS
+@given(scanned_games(), st.booleans())
+def test_a_single_verdict_finds_what_the_memoised_scan_finds(game, strict_notion):
+    # The memo-free scan of a single verdict and the memoised scan of the
+    # stable-set search, each on a fresh table, return the same mask, value
+    # and type; the single scan leaves in the member memo each player's
+    # error in their own block and nothing else.
+    config, scheme, partition, prefs = game
+    m = len(config.players)
+    memoised = _ErrorTable(config, scheme, prefs)
+    memoised.extend(m)
+    expected = _blocking_coalition(partition.masks, m, memoised, prefs, strict_notion)
+    table = _ErrorTable(config, scheme, prefs)
+    found = _single_blocking_coalition(partition.masks, m, table, prefs, strict_notion)
+    assert (type(found), found) == (type(expected), expected)
+    assert [set(memo) for memo in table.memo] == [
+        {partition.coalition_of(j).mask} for j in range(m)
+    ]
+    verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
+        partition, scheme, config, prefs
+    )
+    witness = None if expected is None else Coalition.from_mask(expected)
+    assert (verdict.stable, verdict.witness) == (expected is None, witness)
 
 
 @PROPERTY_SETTINGS

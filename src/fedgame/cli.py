@@ -644,10 +644,7 @@ def _emit_counterexample(fmt: str) -> None:
     from . import constructive, errors, stability
 
     game = TwoSizeGame(n_s=11, n_l=106, S=70, L=7)
-
-    def err(s: int, l: int) -> tuple:
-        return errors.two_size_errors(game, s, l, 100, 1, Uniform())
-
+    err = errors.two_size_formula(game, 100, 1, Uniform())
     values = [
         ("err_s(pi(70,3))", err(70, 3)[0]),
         ("err_s(pi(70,0))", err(70, 0)[0]),

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import two_size_errors
+from .errors import two_size_formula
+from .errors import two_size_errors  # noqa: F401 (re-exported; see stability)
 from .model import (
     CoarseOptimal,
     FederationScheme,
@@ -147,10 +148,7 @@ def construct_individually_stable_uniform(
         )
     if game.S < 1:
         raise ValidationError("constructive individual stability requires S >= 1")
-
-    def err(s: int, l: int) -> tuple[Number | None, Number | None]:
-        return two_size_errors(game, s, l, mu_e, sigma_sq, Uniform())
-
+    err = two_size_formula(game, mu_e, sigma_sq, Uniform())
     _, alone_large = err(0, 1)
     best_l = 0
     for l in range(game.L, 0, -1):  # descending scan; L is small at desk scale
@@ -158,9 +156,7 @@ def construct_individually_stable_uniform(
         if prefs.weakly_less(with_l, alone_large):
             best_l = l
             break
-    smalls_only, _ = err(game.S, 0)
-    federated_small, _ = err(game.S, best_l) if best_l else (smalls_only, None)
-    if prefs.strictly_less(smalls_only, federated_small):
+    if best_l and prefs.strictly_less(err(game.S, 0)[0], err(game.S, best_l)[0]):
         best_l = 0  # smalls strictly prefer staying by themselves
     profiles = [(game.S, best_l)] + [(0, 1)] * (game.L - best_l)
     return ProfilePartition(game, tuple(profiles))
@@ -180,9 +176,9 @@ def construct_strict_core_coarse(
     check_two_size_config(game, config)
     if game.S < 1 or game.L < 1:
         raise ValidationError("strict-core construction requires S >= 1 and L >= 1")
-    mu_e, sigma_sq = _exact_params(config, prefs)
-    grand_small, _ = two_size_errors(game, game.S, game.L, mu_e, sigma_sq, CoarseOptimal())
-    split_small, _ = two_size_errors(game, game.S, 0, mu_e, sigma_sq, CoarseOptimal())
+    err = two_size_formula(game, *_exact_params(config, prefs), CoarseOptimal())
+    grand_small, _ = err(game.S, game.L)
+    split_small, _ = err(game.S, 0)
     if prefs.strictly_less(split_small, grand_small):
         return ProfilePartition(game, ((game.S, 0), (0, game.L)))
     return ProfilePartition(game, ((game.S, game.L),))

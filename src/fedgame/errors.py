@@ -27,6 +27,9 @@ through it.  The stability scans resolve the scheme once per error table
 and call ``error`` directly, once per member they ask about, with sums they
 carry from mask to mask.
 
+Two-size profile errors are ``scheme_formula`` with the roles, small and
+large, as the players; ``two_size_formula`` resolves it once per search.
+
 A float error that overflows is refused with ``ValidationError``; every
 finite result keeps its bits.
 """
@@ -52,6 +55,7 @@ from .model import (
     Uniform,
     ValidationError,
     _check_type,
+    _is_count,
     scheme_name,
 )
 
@@ -143,14 +147,12 @@ def _coarse_member(
 
 
 def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Number) -> Number:
-    """Optimal-coarse closed form from (n_j, N, B); singleton degenerates to local.
+    """Optimal-coarse closed form from (n_j, N, B), for a member not alone.
 
     A float mu_e near the top of the float range overflows mu_e^2; only then
     is the form evaluated again with mu_e divided out of both sides, so
     every finite result keeps its bits.
     """
-    if total == n_j:
-        return mu_e / n_j
     num = mu_e * mu_e * (total - n_j) + mu_e * bias * b
     den = mu_e * total * (total - n_j) + bias * n_j * b
     result = num / den
@@ -450,8 +452,10 @@ def member_formula(
     _check_type("config", config, GameConfig)
     if not members:
         raise ValidationError("coalition: must be non-empty")
-    _check_player(min(members), config)
-    _check_player(max(members), config)
+    if any(a >= b for a, b in zip(members, members[1:])):
+        raise ValidationError(f"coalition {tuple(members)}: members must be distinct and ascending")
+    _check_player(members[0], config)
+    _check_player(members[-1], config)
     total, square = _sample_sums(members, config.players)
     error, shared = scheme_formula(scheme, config)
     terms = None if shared is None else shared(members, total)
@@ -476,6 +480,7 @@ def coalition_member_mse(
     j: int, coalition: Coalition, scheme: FederationScheme, config: GameConfig
 ) -> Number:
     """Expected MSE of player j inside its coalition under any scheme."""
+    _check_type("coalition", coalition, Coalition)
     _check_member(j, coalition)
     return member_formula(coalition.members, scheme, config)(j)
 
@@ -531,6 +536,33 @@ def player_errors(
 # --- two-size (count-symmetric) profile errors -------------------------------
 
 
+def two_size_formula(
+    game: TwoSizeGame, mu_e: Number, sigma_sq: Number, scheme: FederationScheme
+) -> Callable[[int, int], tuple[Number | None, Number | None]]:
+    """(s, l) -> (small-member error, large-member error), None for a role
+    the profile lacks: the ``scheme_formula`` error of each role, as a player
+    of ``GameConfig((n_s, n_l), mu_e, sigma_sq)``, at the profile's sums.
+    Checks the game, the parameters and the scheme once; not the profile."""
+    _check_type("game", game, TwoSizeGame)
+    if not isinstance(scheme, (Uniform, CoarseOptimal)):
+        raise ValidationError(
+            "two-size analysis supports uniform and optimal coarse-grained "
+            f"federation, not {scheme_name(scheme)}"
+        )
+    n_s, n_l = game.n_s, game.n_l
+    error = scheme_formula(scheme, GameConfig((n_s, n_l), mu_e, sigma_sq)).error
+
+    def profile_errors(s: int, l: int) -> tuple[Number | None, Number | None]:
+        total = s * n_s + l * n_l
+        square = s * n_s * n_s + l * n_l * n_l
+        return (
+            error(0, total, square, None) if s else None,
+            error(1, total, square, None) if l else None,
+        )
+
+    return profile_errors
+
+
 def two_size_errors(
     game: TwoSizeGame,
     small_count: int,
@@ -539,35 +571,10 @@ def two_size_errors(
     sigma_sq: Number,
     scheme: FederationScheme,
 ) -> tuple[Number | None, Number | None]:
-    """(small-member error, large-member error) for a coalition profile.
-
-    The profile is hypothetical: counts need not fit inside game.S/game.L,
-    which lets grid property checks range freely.  A missing role returns
-    None.  Supported schemes: Uniform and CoarseOptimal (mean estimation).
-    """
-    if small_count < 0 or large_count < 0 or small_count + large_count < 1:
-        raise ValidationError(
-            f"profile ({small_count},{large_count}) must be non-negative and non-empty"
-        )
-    if not isinstance(scheme, (Uniform, CoarseOptimal)):
-        raise ValidationError(
-            "two-size analysis supports uniform and optimal coarse-grained "
-            f"federation, not {scheme_name(scheme)}"
-        )
-    total = small_count * game.n_s + large_count * game.n_l
-    square = small_count * game.n_s**2 + large_count * game.n_l**2
-
-    def member_error(n_j: int) -> Number:
-        b = _bias_integer(n_j, total, square)
-        if isinstance(scheme, Uniform):
-            if total == n_j:
-                return mu_e / n_j
-            err = mu_e / total + sigma_sq * b / (total * total)
-            if err < _INF:
-                return err
-            raise _overflow(scheme, n_j, total)
-        return _coarse_optimal_parts(n_j, total, b, mu_e, sigma_sq)
-
-    err_small = member_error(game.n_s) if small_count else None
-    err_large = member_error(game.n_l) if large_count else None
-    return err_small, err_large
+    """(small-member error, large-member error) for one coalition profile:
+    its ``two_size_formula`` errors.  The profile is hypothetical: counts need
+    not fit inside game.S/game.L, which lets grid property checks range freely."""
+    counts = (small_count, large_count)
+    if not all(_is_count(c) and c >= 0 for c in counts) or sum(counts) < 1:
+        raise ValidationError(f"profile {counts!r} must be non-negative integer counts, not both 0")
+    return two_size_formula(game, mu_e, sigma_sq, scheme)(small_count, large_count)

@@ -497,6 +497,7 @@ def check_profiles(game: TwoSizeGame, profiles: Sequence[tuple[int, int]]) -> No
 def check_two_size_config(game: TwoSizeGame, config: GameConfig) -> None:
     """A two-size game's config: mean estimation (no linreg spec) with
     players exactly S x n_s then L x n_l samples."""
+    _check_type("game", game, TwoSizeGame)
     _check_type("config", config, GameConfig)
     if config.linreg is not None:
         raise ValidationError(
@@ -633,8 +634,8 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
     (in block order) or opens a new one, which is exactly lexicographic
     order on restricted growth strings.
     """
-    if m < 1:
-        raise ValidationError(f"enumerate_partitions: need m >= 1, got {m}")
+    if not _is_count(m) or m < 1:
+        raise ValidationError(f"enumerate_partitions: need an integer m >= 1, got {m!r}")
     if m > MAX_PARTITION_PLAYERS:
         raise CapExceededError(
             f"enumerate_partitions: m={m} exceeds cap {MAX_PARTITION_PLAYERS}"
@@ -644,8 +645,8 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
 
 def enumerate_coalitions(m: int) -> Iterator[Coalition]:
     """Yield all 2^m - 1 non-empty subsets of {0..m-1} by ascending bitmask."""
-    if m < 1:
-        raise ValidationError(f"enumerate_coalitions: need m >= 1, got {m}")
+    if not _is_count(m) or m < 1:
+        raise ValidationError(f"enumerate_coalitions: need an integer m >= 1, got {m!r}")
     if m > MAX_COALITION_PLAYERS:
         raise CapExceededError(
             f"enumerate_coalitions: m={m} exceeds cap {MAX_COALITION_PLAYERS}"

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from .errors import _sample_sums, scheme_formula, two_size_errors
+from .errors import _sample_sums, scheme_formula, two_size_formula
 
-# coalition_member_mse and enumerate_partitions are not called here (the
-# scans resolve the scheme once with scheme_formula and walk block masks from
-# model._partition_masks); they stay importable from this module for code
-# that wraps those layers by module attribute.
-from .errors import coalition_member_mse  # noqa: F401
+# coalition_member_mse, two_size_errors and enumerate_partitions are not
+# called here (the scans resolve the scheme once with scheme_formula, the
+# two-size searches with two_size_formula, and walk block masks from
+# model._partition_masks); they stay importable from this module, and
+# two_size_errors from constructive, for code that wraps them by attribute.
+from .errors import coalition_member_mse, two_size_errors  # noqa: F401
 from .model import enumerate_partitions  # noqa: F401
 from .model import (
     CapExceededError,
@@ -551,6 +552,26 @@ def _exact_params(config: GameConfig, prefs: PreferenceOrder) -> tuple[Number, N
     return config.mu_e, config.sigma_sq
 
 
+def _two_size_blocks(
+    game: TwoSizeGame,
+    arrangement: Sequence[tuple[int, int]],
+    scheme: FederationScheme,
+    config: GameConfig,
+    prefs: PreferenceOrder,
+) -> tuple[Any, list[tuple[Any, list[Number], list[Number]]]]:
+    """The two-size searches' prologue: the profile errors, resolved once
+    (``two_size_formula``), and each block's ``(profile, lower, upper)``, its
+    per-role bounds (``PreferenceOrder.bounds``; an absent role's are 0)."""
+    check_two_size_config(game, config)
+    check_profiles(game, arrangement)
+    errs = two_size_formula(game, *_exact_params(config, prefs), scheme)
+    blocks = []
+    for profile in arrangement:
+        current = [0 if err is None else err for err in errs(*profile)]
+        blocks.append((profile, *prefs.bounds(current)))
+    return errs, blocks
+
+
 def _two_size_blocking(
     game: TwoSizeGame,
     arrangement: Sequence[tuple[int, int]],
@@ -567,18 +588,12 @@ def _two_size_blocking(
     enough willing smalls and larges exist to populate it.  Candidates are
     scanned with s descending from S and l ascending from 0.
     """
-    check_two_size_config(game, config)
-    check_profiles(game, arrangement)
-    mu_e, sigma_sq = _exact_params(config, prefs)
-    # per role (0 small, 1 large): (count, lower, upper) of each block with
-    # it, the bounds of its current error (``PreferenceOrder.bounds``)
-    held: list[list[tuple[int, Number, Number]]] = [[], []]
-    for profile in arrangement:
-        current = two_size_errors(game, *profile, mu_e, sigma_sq, scheme)
-        for role in (0, 1):
-            if profile[role]:
-                (lower,), (upper,) = prefs.bounds((current[role],))
-                held[role].append((profile[role], lower, upper))
+    errs, blocks = _two_size_blocks(game, arrangement, scheme, config, prefs)
+    # per role (0 small, 1 large): (count, lower, upper) of each block with it
+    held = [
+        [(p[role], lower[role], upper[role]) for p, lower, upper in blocks if p[role]]
+        for role in (0, 1)
+    ]
 
     def strict_gainers(role: int, need: int, new: Number) -> Optional[int]:
         """How many players of the role strictly gain from ``new``, or None
@@ -596,7 +611,7 @@ def _two_size_blocking(
         for l_cand in range(0, game.L + 1):
             if s_cand + l_cand == 0:
                 continue
-            new = two_size_errors(game, s_cand, l_cand, mu_e, sigma_sq, scheme)
+            new = errs(s_cand, l_cand)
             strict = 0
             for role, need in ((0, s_cand), (1, l_cand)):
                 gainers = strict_gainers(role, need, new[role]) if need else 0
@@ -644,18 +659,7 @@ def two_size_individually_stable(
     Valid for any player counts because members of a size class are
     interchangeable: a labeled deviation exists iff a profile deviation does.
     """
-    check_two_size_config(game, config)
-    check_profiles(game, arrangement)
-    mu_e, sigma_sq = _exact_params(config, prefs)
-
-    def errs(s: int, l: int) -> tuple[Number | None, Number | None]:
-        return two_size_errors(game, s, l, mu_e, sigma_sq, scheme)
-
-    blocks = []
-    for profile in arrangement:
-        # an absent role's error is None; it is never compared
-        current = [0 if err is None else err for err in errs(*profile)]
-        blocks.append((profile, *prefs.bounds(current)))
+    errs, blocks = _two_size_blocks(game, arrangement, scheme, config, prefs)
     for idx, ((s_k, l_k), lower, _) in enumerate(blocks):
         for r, role, count in ((0, "small", s_k), (1, "large", l_k)):
             if not count:

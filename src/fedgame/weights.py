@@ -117,11 +117,7 @@ def explicit_row(
     if isinstance(scheme, Local):
         return {j: 1}
     if isinstance(scheme, Uniform):
-        if len(coalition) == 1:
-            return {j: 1}
-        ns = config.players
-        total = sum(ns[i] for i in coalition)
-        return {i: ns[i] / total for i in coalition}
+        return coarse_row(j, coalition, 0, config)
     if isinstance(scheme, Coarse):
         if j not in scheme.weights:
             raise ValidationError(f"coarse scheme has no weight for player {j}")

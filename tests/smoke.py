@@ -4,7 +4,9 @@
 repr both must print; ``check_*`` assert how a record behaves, and
 ``tests/test_records.py`` runs the same checks under pytest.
 ``check_verdicts`` asks known verdicts, three of them full scans of an
-optimal grand coalition, in float and exact mode.
+optimal grand coalition, in float and exact mode.  ``check_two_size`` asks
+the paper's two-size counterexample, as ``fedgame reproduce --all`` prints
+it, in float and exact mode.
 ``check_start_up`` runs each closed-form command in a fresh interpreter and
 asserts that it exits 0 without loading a module of ``SLOW_STDLIB``.  Run
 it from the repository root on any supported CPython; without numpy it
@@ -24,6 +26,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from fractions import Fraction
 
 from fedgame import (
     Coalition,
@@ -49,7 +53,13 @@ from fedgame import (
     is_core_stable,
     is_individually_stable,
     is_strict_core_stable,
+    construct_individually_stable_uniform,
+    two_size_blocking_search,
+    two_size_errors,
+    two_size_game_config,
+    two_size_individually_stable,
 )
+from fedgame.cli import format_profiles
 
 PAIR = Coalition((0, 1))
 GAME = TwoSizeGame(1, 2, 1, 1)
@@ -259,6 +269,40 @@ def check_verdicts() -> None:
                 assert (verdict.stable, verdict.witness) == (True, None), verdict
 
 
+# the counterexample's quantities and values, as ``reproduce --all`` prints them
+COUNTEREXAMPLE = [
+    ("err_s(pi(70,3))", (70, 3), 0, "1.107322"),
+    ("err_s(pi(70,0))", (70, 0), 0, "1.115584"),
+    ("err_l(pi(70,3))", (70, 3), 1, "0.932690"),
+    ("err_l(pi(0,1))", (0, 1), 1, "0.943396"),
+    ("err_l(pi(70,4))", (70, 4), 1, "0.943664"),
+    ("err_s(pi(68,4))", (68, 4), 0, "1.105263"),
+    ("err_l(pi(68,4))", (68, 4), 1, "0.943147"),
+]
+
+
+def check_two_size() -> None:
+    """The counterexample (n_s=11, n_l=106, S=70, L=7, mu_e=100,
+    sigma_sq=1): its seven errors, the constructed arrangement
+    pi(70,3) + 4 singletons, individually stable and blocked by pi(68,4)."""
+    game = TwoSizeGame(n_s=11, n_l=106, S=70, L=7)
+    config = two_size_game_config(game, 100, 1)
+    for prefs, mu_e, sigma_sq in (
+        (PreferenceOrder(), 100, 1),
+        (PreferenceOrder(exact=True), Fraction(100), Fraction(1)),
+    ):
+        for name, profile, role, printed in COUNTEREXAMPLE:
+            value = two_size_errors(game, *profile, mu_e, sigma_sq, Uniform())[role]
+            assert f"{float(value):.6f}" == printed, (name, value, prefs)
+        built = construct_individually_stable_uniform(game, config, prefs)
+        text = format_profiles(built.profiles)
+        assert text == "pi(70,3) + 4 singletons", (text, prefs)
+        deviation = two_size_individually_stable(game, built.profiles, Uniform(), config, prefs)
+        assert deviation is None, (deviation, prefs)
+        blocked = two_size_blocking_search(game, built.profiles, Uniform(), config, prefs)
+        assert blocked == (68, 4), (blocked, prefs)
+
+
 # standard-library modules that no closed-form command loads without an
 # option that needs one (--exact, --config, --format csv); dataclasses
 # brings inspect, fractions brings decimal
@@ -309,5 +353,7 @@ if __name__ == "__main__":
     print(f"records ok: {len(RECORDS)} records, {len(RECORD_CHECKS)} checks each")
     check_verdicts()
     print("verdicts ok: core, strict core and individual, float and exact")
+    check_two_size()
+    print("two-size ok: counterexample values, construction and witness, float and exact")
     check_start_up()
     print(f"start-up ok: {len(LIGHT_COMMANDS)} commands load none of {', '.join(SLOW_STDLIB)}")

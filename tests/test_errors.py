@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fedgame import (
     Coalition,
@@ -20,15 +21,19 @@ from fedgame import (
     ValidationError,
     coalition_errors,
     coalition_member_mse,
+    enumerate_coalitions,
+    enumerate_partitions,
     exact_config,
     mse_coarse,
     mse_fine,
     mse_local,
     mse_uniform,
     player_errors,
+    two_size_game_config,
 )
-from fedgame.errors import LINREG_OPTIMAL_NOTE, two_size_errors
+from fedgame.errors import LINREG_OPTIMAL_NOTE, member_formula, two_size_errors
 from oracles import random_coalition, random_mean_config
+from test_config_properties import PROPERTY_SETTINGS
 
 MEAN_10_1 = dict(mu_e=10, sigma_sq=1)
 
@@ -277,6 +282,55 @@ def test_player_errors_refuses_a_partition_that_is_not_a_partition():
         player_errors([[0, 1]], Uniform(), cfg(5, 5))
 
 
+@pytest.mark.parametrize("members", [[0, 0], [1, 0], (0, 2, 1), [2, 2, 2]])
+def test_a_member_list_that_repeats_a_player_or_is_not_ascending_is_refused(members):
+    # [0, 0] would count player 0's samples twice: 1.5, not 2.0 alone
+    config = cfg(5, 5, 25)
+    for call in (
+        lambda: coalition_errors(members, Uniform(), config),
+        lambda: member_formula(members, CoarseOptimal(), config),
+    ):
+        with pytest.raises(ValidationError, match="distinct and ascending"):
+            call()
+    assert coalition_errors([0], Uniform(), config) == {0: 2.0}
+
+
+_GAME = TwoSizeGame(5, 25, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, refused",
+    [
+        (lambda: two_size_errors(None, 1, 1, 10, 1, Uniform()), "game: must be a TwoSizeGame"),
+        (lambda: two_size_errors(_GAME, 1, 1, "10", 1, Uniform()), "mu_e"),
+        (lambda: two_size_errors(_GAME, 1, 1, 10, None, Uniform()), "sigma_sq"),
+        (lambda: two_size_errors(_GAME, 1, 1, 0, 1, Uniform()), "mu_e"),
+        (lambda: two_size_errors(_GAME, 1.5, 1, 10, 1, Uniform()), "profile"),
+        (lambda: two_size_errors(_GAME, 1, 1.0, 10, 1, Uniform()), "profile"),
+        (lambda: two_size_errors(_GAME, True, 1, 10, 1, Uniform()), "profile"),
+        (lambda: two_size_errors(_GAME, 1, False, 10, 1, Uniform()), "profile"),
+        (lambda: coalition_member_mse(0, [0, 1], Uniform(), cfg(5, 5)), "coalition: must be"),
+        (lambda: enumerate_partitions("3"), "integer m"),
+        (lambda: enumerate_partitions(True), "integer m"),
+        (lambda: enumerate_partitions(2.0), "integer m"),
+        (lambda: enumerate_coalitions("3"), "integer m"),
+        (lambda: enumerate_coalitions(True), "integer m"),
+        (lambda: enumerate_coalitions(2.0), "integer m"),
+    ],
+    ids=[
+        "two_size_errors-game-None", "two_size_errors-mu_e-str", "two_size_errors-sigma_sq-None",
+        "two_size_errors-mu_e-0", "two_size_errors-small-1.5", "two_size_errors-large-1.0",
+        "two_size_errors-small-True", "two_size_errors-large-False",
+        "coalition_member_mse-list", "enumerate_partitions-str", "enumerate_partitions-True",
+        "enumerate_partitions-2.0", "enumerate_coalitions-str", "enumerate_coalitions-True",
+        "enumerate_coalitions-2.0",
+    ],
+)
+def test_ill_typed_arguments_are_refused(call, refused):
+    with pytest.raises(ValidationError, match=refused):
+        call()
+
+
 # --- two-size profile errors ----------------------------------------------------------
 
 
@@ -300,13 +354,37 @@ def test_two_size_counterexample_values(profile, role, expected):
     assert abs(got - expected) <= 1e-6
 
 
-def test_two_size_profiles_match_labeled_evaluation():
-    game = TwoSizeGame(5, 25, 2, 1)
-    config = GameConfig((5, 5, 25), 10, 1)
-    got_s, got_l = two_size_errors(game, 2, 1, 10, 1, Uniform())
-    c = Coalition((0, 1, 2))
-    assert rel_close(got_s, mse_uniform(0, c, config))
-    assert rel_close(got_l, mse_uniform(2, c, config))
+@st.composite
+def two_size_profiles(draw):
+    """(game, s, l, mu_e, sigma_sq, scheme): a two-size game of at most 12
+    players, a profile that fits inside it, and float or Fraction parameters."""
+    S = draw(st.integers(0, 6))
+    L = draw(st.integers(0 if S else 1, 6))
+    n_s = draw(st.integers(1, 60))
+    game = TwoSizeGame(n_s, draw(st.integers(n_s + 1, 200)), S, L)
+    s = draw(st.integers(0 if L else 1, S))
+    l = draw(st.integers(0 if s else 1, L))
+    if draw(st.booleans()):
+        mu_e = draw(st.fractions(Fraction(1, 1000), 1000, max_denominator=1000))
+        sigma_sq = draw(st.fractions(0, 100, max_denominator=1000))
+    else:
+        mu_e = draw(st.floats(1e-3, 1e3))
+        sigma_sq = draw(st.floats(0.0, 100.0))
+    return game, s, l, mu_e, sigma_sq, draw(st.sampled_from([Uniform(), CoarseOptimal()]))
+
+
+@PROPERTY_SETTINGS
+@given(two_size_profiles())
+def test_two_size_profiles_match_labeled_evaluation(drawn):
+    # a profile's errors are its labelled block's, in value and in type:
+    # smalls 0..s-1 and larges S..S+l-1 on the game's labelled config
+    game, s, l, mu_e, sigma_sq, scheme = drawn
+    block = list(range(s)) + list(range(game.S, game.S + l))
+    labelled = coalition_errors(block, scheme, two_size_game_config(game, mu_e, sigma_sq))
+    expected = (labelled[0] if s else None, labelled[game.S] if l else None)
+    got = two_size_errors(game, s, l, mu_e, sigma_sq, scheme)
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
 
 
 def test_two_size_singleton_and_missing_roles():

@@ -28,7 +28,7 @@ from fedgame import (
     two_size_individually_stable,
     two_size_weak_blocking_search,
 )
-from fedgame import enumerate_partitions, model, stability
+from fedgame import constructive, enumerate_partitions, errors, model, stability
 from fedgame.errors import Formula, scheme_formula
 from fedgame.stability import Deviation, PreferenceOrder
 import oracles
@@ -591,6 +591,44 @@ def test_all_large_singletons_unblocked_above_threshold():
     config = GameConfig((106,) * 7, 100, 1)
     arrangement = [(0, 1)] * 7
     assert two_size_blocking_search(game, arrangement, Uniform(), config) is None
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_two_size_searches_and_constructions_resolve_the_formula_once(monkeypatch, exact):
+    # each resolves errors.scheme_formula once, through two_size_formula,
+    # and answers every profile from it, never through two_size_errors
+    calls = SimpleNamespace(resolved=0, per_profile=0)
+
+    def resolve(scheme, cfg):
+        calls.resolved += 1
+        return scheme_formula(scheme, cfg)
+
+    def per_profile(*args):
+        calls.per_profile += 1
+        return errors.two_size_errors(*args)
+
+    monkeypatch.setattr(errors, "scheme_formula", resolve)
+    for module in (stability, constructive):
+        monkeypatch.setattr(module, "two_size_errors", per_profile)
+    prefs = PreferenceOrder(exact=exact)
+    arrangement = [(70, 3), (0, 1), (0, 1), (0, 1), (0, 1)]
+    game, config = COUNTEREX_GAME, COUNTEREX_CONFIG
+    for run, answer in (
+        (lambda: two_size_blocking_search(game, arrangement, Uniform(), config, prefs), (68, 4)),
+        (lambda: two_size_weak_blocking_search(game, arrangement, Uniform(), config, prefs), (70, 3)),
+        (lambda: two_size_individually_stable(game, arrangement, Uniform(), config, prefs), None),
+        (
+            lambda: constructive.construct_individually_stable_uniform(game, config, prefs).profiles,
+            tuple(arrangement),
+        ),
+        (
+            lambda: constructive.construct_strict_core_coarse(game, config, prefs).profiles,
+            ((70, 7),),
+        ),
+    ):
+        calls.resolved = calls.per_profile = 0
+        assert run() == answer
+        assert (calls.resolved, calls.per_profile) == (1, 0)
 
 
 def test_two_size_searches_refuse_a_config_that_is_not_their_game():

@@ -20,6 +20,10 @@ member's closed form given the coalition's sample sums N and Q, and
 is None for the schemes whose member error needs only (n_j, N, Q): local,
 mean uniform, coarse-optimal and mean coarse; the fine-grained schemes share
 the member list and regression uniform and coarse the global variance.
+Those two also give ``floor(j, N, Q)``, the member's bias part, which needs
+no shared term: ``error`` adds it last to a non-negative variance part, so
+it is a lower bound on the error, exact by construction, that a stability
+scan compares first.
 ``member_formula`` checks one coalition, takes its sums and shared term and
 binds them to ``error``; ``coalition_errors`` (every member),
 ``coalition_member_mse`` (one member) and the per-scheme functions go
@@ -127,23 +131,17 @@ def _bias_integer(n_j: int, total: int, square: int) -> int:
 # --- member formulas: one scheme each, given the coalition-wide terms ---------
 
 
-def _coarse_member(
-    n_j: int,
-    w: Number,
-    total: int,
-    square: int,
-    global_var: Number | None,
-    config: GameConfig,
+def _coarse_variance(
+    n_j: int, w: Number, total: int, global_var: Number | None, config: GameConfig
 ) -> Number:
+    """The variance part of a coarse member's error, non-negative for w in
+    [0,1]; the bias part is the scheme's ``Formula.floor``."""
     if config.linreg is None:
-        variance = config.mu_e * (w * w / n_j) + config.mu_e * (1 - w * w) / total
-    else:
-        d = config.linreg.d
-        variance = (1 - w) ** 2 * global_var + config.mu_e * (
-            w * w + (1 - w) * w * 2 * n_j / total
-        ) * d / (n_j - d - 1)
-    b = _bias_integer(n_j, total, square)
-    return variance + _bias_coef(config) * b * (1 - w) ** 2 / (total * total)
+        return config.mu_e * (w * w / n_j) + config.mu_e * (1 - w * w) / total
+    d = config.linreg.d
+    return (1 - w) ** 2 * global_var + config.mu_e * (
+        w * w + (1 - w) * w * 2 * n_j / total
+    ) * d / (n_j - d - 1)
 
 
 def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Number) -> Number:
@@ -263,12 +261,23 @@ class Formula(NamedTuple):
     share the member list; regression uniform and coarse share the global
     variance.
 
+    ``floor(j, N, Q)`` is the part of player j's error that needs no shared
+    term: the bias part sigma_bias_sq*B_j*(1-w)^2/N^2, with w = 0 under
+    uniform federation.  It is given only where ``shared`` is the regression
+    global variance, and is None elsewhere.  ``error`` adds it last to a
+    variance part that is non-negative (a coarse weight lies in [0,1]), so
+    ``error`` >= ``floor``: in float mode because rounding is monotone, in
+    exact mode because the two differ by that variance.  A scan settles a
+    member whose floor already rules out a gain without taking the shared
+    term.
+
     Every float error is finite: one that overflows, or is NaN from an
     overflow, raises ``ValidationError``.
     """
 
     error: Callable[[int, int, int, Any], Number]
     shared: Optional[Callable[[Sequence[int], int], Any]]
+    floor: Optional[Callable[[int, int, int], Number]]
 
 
 def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
@@ -301,7 +310,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, ns[j], total)
 
-        return Formula(local_error, None)
+        return Formula(local_error, None, None)
     if isinstance(scheme, Fine):
         rows = scheme.rows
 
@@ -319,7 +328,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, ns[j], total)
 
-        return Formula(fine, _listed)
+        return Formula(fine, _listed, None)
     if isinstance(scheme, CoarseOptimal):
         mu, bias, _ = effective_mean_params(config)
 
@@ -333,7 +342,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, n, total)
 
-        return Formula(coarse_optimal, None)
+        return Formula(coarse_optimal, None, None)
     if isinstance(scheme, FineOptimal):
         mu, bias, v_of, inv = _optimal_fine_terms(config)
 
@@ -368,7 +377,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, n, total)
 
-        return Formula(fine_optimal, _listed)
+        return Formula(fine_optimal, _listed, None)
     bias_coef = _bias_coef(config)
     global_variance = None
     if config.linreg is not None:
@@ -406,6 +415,14 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
 
     if isinstance(scheme, Uniform):
 
+        def uniform_bias(j: int, total: int, square: int) -> Number:
+            n = ns[j]
+            # B_j inline (``_bias_integer``): this runs once per member a scan asks about
+            bias = bias_coef * (square - n * n + (total - n) ** 2) / (total * total)
+            if bias < _INF:
+                return bias
+            raise _overflow(scheme, n, total)
+
         def uniform(j: int, total: int, square: int, variance: Optional[Number]) -> Number:
             n = ns[j]
             if total == n:
@@ -413,29 +430,39 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             else:
                 if variance is None:  # mean estimation: no shared term
                     variance = mu_e / total
-                b = square - n * n + (total - n) ** 2  # B_j, ``_bias_integer``
-                err = variance + bias_coef * b / (total * total)
+                err = variance + uniform_bias(j, total, square)
             if err < _INF:
                 return err
             raise _overflow(scheme, n, total)
 
-        return Formula(uniform, global_variance)
+        floor = None if global_variance is None else uniform_bias
+        return Formula(uniform, global_variance, floor)
     if isinstance(scheme, Coarse):
         weights = scheme.weights
 
-        def coarse(j: int, total: int, square: int, global_var: Optional[Number]) -> Number:
+        def coarse_bias(j: int, total: int, square: int) -> Number:
             if j not in weights:
                 raise ValidationError(f"coarse scheme has no weight for player {j}")
+            n = ns[j]
+            b = square - n * n + (total - n) ** 2  # B_j, ``_bias_integer``
+            bias = bias_coef * b * (1 - weights[j]) ** 2 / (total * total)
+            if bias < _INF:
+                return bias
+            raise _overflow(scheme, n, total)
+
+        def coarse(j: int, total: int, square: int, global_var: Optional[Number]) -> Number:
+            bias = coarse_bias(j, total, square)
             n = ns[j]
             if total == n:
                 err = local[j]
             else:
-                err = _coarse_member(n, weights[j], total, square, global_var, config)
+                err = _coarse_variance(n, weights[j], total, global_var, config) + bias
             if err < _INF:
                 return err
             raise _overflow(scheme, n, total)
 
-        return Formula(coarse, global_variance)
+        floor = None if global_variance is None else coarse_bias
+        return Formula(coarse, global_variance, floor)
     raise ValidationError(f"unknown federation scheme {scheme!r}")
 
 
@@ -452,12 +479,14 @@ def member_formula(
     _check_type("config", config, GameConfig)
     if not members:
         raise ValidationError("coalition: must be non-empty")
+    if not all(map(_is_count, members)):
+        raise ValidationError(f"coalition {tuple(members)}: members must be integer player indices")
     if any(a >= b for a, b in zip(members, members[1:])):
         raise ValidationError(f"coalition {tuple(members)}: members must be distinct and ascending")
     _check_player(members[0], config)
     _check_player(members[-1], config)
     total, square = _sample_sums(members, config.players)
-    error, shared = scheme_formula(scheme, config)
+    error, shared, _ = scheme_formula(scheme, config)
     terms = None if shared is None else shared(members, total)
     return lambda j: error(j, total, square, terms)
 

@@ -9,7 +9,14 @@ one are never evaluated.  The scheme is resolved once per error table, to
 the ``errors.Formula`` of its closed form, and a coalition costs one direct
 call of that closed form per member asked about: its sample sums are read
 from flat per-mask lists, its members are listed only for a scheme with a
-shared term, and that term is taken once per visit.  The table
+shared term and no floor, and that term is taken once per visit.  Under
+regression uniform and coarse federation, whose shared term is the global
+variance, both blocking scans ask the member's ``Formula.floor`` first: the
+bias part, a lower bound on the error that costs O(1).  A member is settled
+as not gaining when ``floor >= lower[j]`` and, for the strict core, also
+``floor > upper[j]``; only a member it does not settle costs the global
+variance (once per visit, the mask's members listed then) and a call of
+the closed form.  The table
 (``_ErrorTable``) builds those lists one top player at a time: the masks in
 ``[2^t, 2^(t+1))`` are the masks below ``2^t`` plus player t.
 
@@ -158,16 +165,17 @@ class _ErrorTable:
     member on demand, and the sample sums of every mask below ``2^t``.
 
     The scheme is resolved once, in ``__init__``, to the ``errors.Formula``
-    ``(error, shared)``.  ``memo[j]`` maps a mask to player j's error in its
-    coalition.  ``totals[mask]`` and ``squares[mask]`` are the mask's sample
-    sums N and Q and, only for a scheme with a shared term,
-    ``members[mask]`` its member list in ascending order (else ``members``
-    is None).  The lists start at mask 0 and grow one top player at a time
-    (``extend``): the masks in ``[2^t, 2^(t+1))`` are the masks below
-    ``2^t`` plus player t, one list comprehension each.  A mask beyond them
-    takes its sums from its members (``coalition``).  The shared term is
-    taken at most once per visit to a mask, when a member asked about is
-    missing.
+    ``(error, shared, floor)``.  ``memo[j]`` maps a mask to player j's error
+    in its coalition.  ``totals[mask]`` and ``squares[mask]`` are the mask's
+    sample sums N and Q and, only for a scheme with a shared term and no
+    floor, ``members[mask]`` its member list in ascending order (else
+    ``members`` is None: a scheme with a floor lists a mask's members only
+    when the floor does not settle the member asked about).  The lists
+    start at mask 0 and grow one top player at a time (``extend``): the
+    masks in ``[2^t, 2^(t+1))`` are the masks below ``2^t`` plus player t,
+    one list comprehension each.  A mask beyond them takes its sums from
+    its members (``coalition``).  The shared term is taken at most once per
+    visit to a mask, when a member asked about is missing.
 
     The stable-set search extends the lists over all 2^m masks up front and
     runs ``_blocking_coalition`` on each partition, reading and filling
@@ -192,11 +200,12 @@ class _ErrorTable:
         if prefs.exact:
             config = exact_config(config)
             scheme = exact_scheme(scheme)
-        self.error, self.shared = scheme_formula(scheme, config)
+        self.error, self.shared, self.floor = scheme_formula(scheme, config)
         self.ns = config.players
         self.totals: list[int] = [0]
         self.squares: list[int] = [0]
-        self.members: Optional[list[list[int]]] = None if self.shared is None else [[]]
+        listed = self.shared is not None and self.floor is None
+        self.members: Optional[list[list[int]]] = [[]] if listed else None
         self.memo: list[dict[int, Number]] = [{} for _ in config.players]
         self._blocks: dict[int, dict[int, Number]] = {}
 
@@ -225,7 +234,11 @@ class _ErrorTable:
             if members is None:
                 members = _mask_members(mask)
             total, square = _sample_sums(members, self.ns)
-        return total, square, None if self.shared is None else self.shared(members, total)
+        if self.shared is None:
+            return total, square, None
+        if members is None:
+            members = _mask_members(mask)
+        return total, square, self.shared(members, total)
 
     def filled(self, mask: int) -> dict[int, Number]:
         """Every member's error in the mask's coalition, by player.  The
@@ -303,10 +316,12 @@ def _blocking_coalition(
     strict_notion=True: every member weakly gains, at least one strictly.
     Members are asked about in ascending order, and a mask is settled by its
     first member who does not gain; later members' errors are not computed.
-    A strict gain is also a weak one (``PreferenceOrder.bounds``).
+    A strict gain is also a weak one (``PreferenceOrder.bounds``).  On a
+    memo miss, a scheme's ``floor`` may settle the member first: that member
+    is neither evaluated nor memoised, and the shared term is not taken.
     """
     lower, upper = prefs.bounds(table.current_errors(masks))
-    error, shared, memo = table.error, table.shared, table.memo
+    error, shared, floor, memo = table.error, table.shared, table.floor, table.memo
     totals, squares, listed = table.totals, table.squares, table.members
     for mask in range(1, 1 << m):
         low = mask & -mask
@@ -317,10 +332,15 @@ def _blocking_coalition(
         while True:
             err = memo[j].get(mask)
             if err is None:
+                if floor is not None:
+                    least = floor(j, totals[mask], squares[mask])
+                    if least >= lower[j] and not (strict_notion and least <= upper[j]):
+                        break
                 if total is None:
                     total = totals[mask]
-                    if listed is not None:
-                        terms = shared(listed[mask], total)
+                    if shared is not None:
+                        members = _mask_members(mask) if listed is None else listed[mask]
+                        terms = shared(members, total)
                 err = memo[j][mask] = error(j, total, squares[mask], terms)
             if err < lower[j]:
                 strict = True
@@ -350,10 +370,11 @@ def _single_blocking_coalition(
     as far as it scans, and evaluates each member at most once.  It skips
     the partition's own blocks: their members' errors are the current ones,
     already filled for the bounds, so they cannot block.  ``memo`` ends up
-    holding those blocks' errors only.
+    holding those blocks' errors only.  A scheme's ``floor`` settles members
+    as in ``_blocking_coalition``, before the shared term is taken.
     """
     lower, upper = prefs.bounds(table.current_errors(masks))
-    error, shared, ns = table.error, table.shared, table.ns
+    error, shared, floor, ns = table.error, table.shared, table.floor, table.ns
     totals, squares, listed = table.totals, table.squares, table.members
     own = set(masks)
     for top in range(m):
@@ -376,6 +397,14 @@ def _single_blocking_coalition(
             while True:
                 low = rest & -rest
                 j = low.bit_length() - 1
+                if floor is not None:
+                    least = floor(j, total, square)
+                    if least >= lower[j] and not (strict_notion and least <= upper[j]):
+                        break
+                    if terms is None:
+                        # the global variance, once per visit (None only
+                        # for a one-player mask, which has one member)
+                        terms = shared(_mask_members(mask), total)
                 err = error(j, total, square, terms)
                 if err < lower[j]:
                     strict = True

@@ -36,9 +36,15 @@ from .model import (
     Record,
     Uniform,
     ValidationError,
+    _check_type,
     check_row_sum,
     scheme_name,
 )
+
+
+def _check_inputs(coalition: Coalition, config: GameConfig) -> None:
+    _check_type("coalition", coalition, Coalition)
+    _check_type("config", config, GameConfig)
 
 
 class FineWeights(Record):
@@ -61,6 +67,7 @@ def optimal_w(j: int, coalition: Coalition, config: GameConfig) -> Number:
     Alone, every weight yields the same estimator; 1 ("all local") is
     returned as the honest degenerate value.
     """
+    _check_inputs(coalition, config)
     _check_member(j, coalition)
     _check_player(j, config)
     if len(coalition) == 1:
@@ -83,6 +90,7 @@ def optimal_v(j: int, coalition: Coalition, config: GameConfig) -> FineWeights:
     Built from V_i = bias + mu/n_i; every entry is strictly inside (0,1)
     whenever the coalition has at least two members.
     """
+    _check_inputs(coalition, config)
     _check_member(j, coalition)
     _check_player(j, config)
     if len(coalition) == 1:
@@ -98,6 +106,7 @@ def optimal_fine_mse(j: int, coalition: Coalition, config: GameConfig) -> Number
 
 def coarse_row(j: int, coalition: Coalition, w: Number, config: GameConfig) -> dict[int, Number]:
     """Fine-grained row equivalent to coarse blending with weight w."""
+    _check_inputs(coalition, config)
     if len(coalition) == 1:
         return {j: 1}
     ns = config.players
@@ -113,6 +122,7 @@ def explicit_row(
     j: int, coalition: Coalition, scheme: FederationScheme, config: GameConfig
 ) -> dict[int, Number]:
     """Resolve any scheme to the explicit combination row of player j."""
+    _check_inputs(coalition, config)
     _check_member(j, coalition)
     if isinstance(scheme, Local):
         return {j: 1}

@@ -3,8 +3,9 @@
 ``RECORDS`` builds every public record by keyword and by position, with the
 repr both must print; ``check_*`` assert how a record behaves, and
 ``tests/test_records.py`` runs the same checks under pytest.
-``check_verdicts`` asks known verdicts, three of them full scans of an
-optimal grand coalition, in float and exact mode.  ``check_two_size`` asks
+``check_verdicts`` asks known verdicts, in float and exact mode: full scans
+of an optimal grand coalition and of linear-regression singletons under
+uniform and coarse federation among them.  ``check_two_size`` asks
 the paper's two-size counterexample, as ``fedgame reproduce --all`` prints
 it, in float and exact mode.
 ``check_start_up`` runs each closed-form command in a fresh interpreter and
@@ -252,9 +253,13 @@ def check_verdicts() -> None:
     grand coalition is core and individually stable, in both modes.  Below
     the threshold, the optimal grand coalition of eight players is core and
     strict-core stable: a full scan of its 255 coalitions, with member lists
-    under fine-optimal federation and without under coarse-optimal."""
+    under fine-optimal federation and without under coarse-optimal.  Eight
+    large linear-regression players alone are core and strict-core stable
+    under uniform and coarse federation: a full scan where the floor settles
+    most coalitions without the global variance."""
     grand, config = Partition.grand(3), GameConfig((5, 5, 5), 10, 1)
     eight = GameConfig((2, 3, 4, 5, 6, 7, 8, 9), 100, 1)
+    large = GameConfig((101, 113, 127, 139, 151, 167, 181, 197), 20, 0.625, LinRegSpec(2, 0.625))
     for prefs in (PreferenceOrder(), PreferenceOrder(exact=True)):
         blocked = is_core_stable(
             Partition.singletons(3), Uniform(), GameConfig((5, 5, 25), 10, 1), prefs
@@ -266,6 +271,10 @@ def check_verdicts() -> None:
         for scheme in (CoarseOptimal(), FineOptimal()):
             for verdict_of in (is_core_stable, is_strict_core_stable):
                 verdict = verdict_of(Partition.grand(8), scheme, eight, prefs)
+                assert (verdict.stable, verdict.witness) == (True, None), verdict
+        for scheme in (Uniform(), Coarse(dict.fromkeys(range(8), 0.125))):
+            for verdict_of in (is_core_stable, is_strict_core_stable):
+                verdict = verdict_of(Partition.singletons(8), scheme, large, prefs)
                 assert (verdict.stable, verdict.witness) == (True, None), verdict
 
 

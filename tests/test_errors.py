@@ -295,6 +295,18 @@ def test_a_member_list_that_repeats_a_player_or_is_not_ascending_is_refused(memb
     assert coalition_errors([0], Uniform(), config) == {0: 2.0}
 
 
+@pytest.mark.parametrize("members", [[False, True], [0.5, 1], [0, 1.0], ["0"]])
+def test_a_member_list_with_an_entry_that_is_not_an_integer_is_refused(members):
+    # [False, True] used to answer {False: 1.5, True: 1.5}; [0.5, 1] raised TypeError
+    config = cfg(5, 5, 25)
+    for call in (
+        lambda: coalition_errors(members, Uniform(), config),
+        lambda: member_formula(members, CoarseOptimal(), config),
+    ):
+        with pytest.raises(ValidationError, match="members must be integer player indices"):
+            call()
+
+
 _GAME = TwoSizeGame(5, 25, 2, 1)
 
 

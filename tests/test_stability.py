@@ -20,6 +20,8 @@ from fedgame import (
     CapExceededError,
     coalition_errors,
     coalition_member_mse,
+    exact_config,
+    exact_scheme,
     find_stable_partitions,
     is_core_stable,
     is_individually_stable,
@@ -29,7 +31,7 @@ from fedgame import (
     two_size_weak_blocking_search,
 )
 from fedgame import constructive, enumerate_partitions, errors, model, stability
-from fedgame.errors import Formula, scheme_formula
+from fedgame.errors import Formula, _sample_sums, scheme_formula
 from fedgame.stability import Deviation, PreferenceOrder
 import oracles
 
@@ -237,12 +239,13 @@ def _formula_seam(monkeypatch):
     scheme resolutions, coalition builds (their masks) and member
     evaluations per mask.  The counting formula gives every scheme a shared
     term, the coalition's mask beside the scheme's own term, so a build is a
-    scan's first member evaluation in a visit to a mask."""
+    scan's first member evaluation in a visit to a mask.  The scheme's
+    ``floor`` is passed on as it is."""
     seam = SimpleNamespace(resolved=0, built=[], evaluated={})
 
     def resolve(scheme, cfg):
         seam.resolved += 1
-        error, shared = scheme_formula(scheme, cfg)
+        error, shared, floor = scheme_formula(scheme, cfg)
 
         def counting_shared(members, total):
             mask = sum(1 << j for j in members)
@@ -254,7 +257,7 @@ def _formula_seam(monkeypatch):
             seam.evaluated[mask] = seam.evaluated.get(mask, 0) + 1
             return error(j, total, square, own)
 
-        return Formula(counted, counting_shared)
+        return Formula(counted, counting_shared, floor)
 
     monkeypatch.setattr(stability, "scheme_formula", resolve)
     return seam
@@ -334,6 +337,92 @@ def test_a_stable_scan_stops_at_each_masks_first_non_gaining_member(
     )
     assert verdict.stable
     assert evaluated == expected
+
+
+# eight large players, d = 2: the singletons are strict-core stable under
+# uniform federation and under coarse federation with weight 1/8
+REGRESSION = GameConfig((101, 113, 127, 139, 151, 167, 181, 197), 20, 0.625, LinRegSpec(2, 0.625))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("strict_notion", [False, True])
+@pytest.mark.parametrize(
+    "scheme", [Uniform(), Coarse(dict.fromkeys(range(8), 0.125))], ids=["uniform", "coarse"]
+)
+def test_a_stable_regression_scan_takes_the_global_variance_only_where_the_floor_does_not_settle(
+    monkeypatch, scheme, strict_notion, exact
+):
+    # A scan asks each mask's lowest member first.  The shared term is taken
+    # for a mask exactly when that member's floor does not settle them: in
+    # the partition's own blocks (the bounds) and in 3 (uniform) or 30
+    # (coarse) of the other 247 masks, in the single verdict's scan and in
+    # the memoised one.
+    m = len(REGRESSION.players)
+    prefs = PreferenceOrder(exact=exact)
+    config, layer_scheme = REGRESSION, scheme
+    if exact:
+        config, layer_scheme = exact_config(config), exact_scheme(scheme)
+    floor = scheme_formula(layer_scheme, config).floor
+    lower, upper = prefs.bounds(
+        [coalition_errors([j], layer_scheme, config)[j] for j in range(m)]
+    )
+    own = [1 << j for j in range(m)]
+    unsettled = []
+    for mask in range(1, 1 << m):
+        members = Coalition.from_mask(mask).members
+        j = members[0]
+        least = floor(j, *_sample_sums(members, config.players))
+        settled = least >= lower[j] and not (strict_notion and least <= upper[j])
+        if mask not in own and not settled:
+            unsettled.append(mask)
+    assert 0 < len(unsettled) < (1 << m) / 8
+    partition = Partition.singletons(m)
+    seam = _formula_seam(monkeypatch)
+    verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
+        partition, scheme, REGRESSION, prefs
+    )
+    assert (verdict.stable, verdict.witness) == (True, None)
+    assert sorted(seam.built) == sorted(own + unsettled)
+    seam = _formula_seam(monkeypatch)
+    table = stability._ErrorTable(REGRESSION, scheme, prefs)
+    table.extend(m)
+    assert stability._blocking_coalition(partition.masks, m, table, prefs, strict_notion) is None
+    assert sorted(seam.built) == sorted(own + unsettled)
+
+
+@pytest.mark.parametrize("strict_notion", [False, True])
+def test_a_member_whose_floor_is_just_inside_its_bound_is_evaluated(monkeypatch, strict_notion):
+    # mu_e is so small against the bias that player 0's variance part in
+    # {0, 1} is about 1e-14 of their error.  Against a current error 1e-6
+    # above that error, the floor lies just below the strict bound; against
+    # a current error equal to the floor, inside the epsilon band of a weak
+    # gain.  Player 0 gains strictly, or weakly, player 1 (at 1.5 times
+    # their error) strictly, and {0, 1} blocks the singletons.  Settling
+    # player 0 by the floor would miss it.
+    config = GameConfig((50, 80), 1e-12, 1.0, LinRegSpec(2, 1.0))
+    prefs = PreferenceOrder()
+    error, shared, floor = scheme_formula(Uniform(), config)
+    total, square = _sample_sums((0, 1), config.players)
+    terms = shared((0, 1), total)
+    least = floor(0, total, square)
+    near = least if strict_notion else error(0, total, square, terms) * (1 + 1e-6)
+    current = [near, error(1, total, square, terms) * 3 / 2]
+    lower, upper = prefs.bounds(current)
+    if strict_notion:
+        assert lower[0] <= least <= upper[0]
+    else:
+        assert 0.999 * lower[0] < least < lower[0]
+    found = []
+    for formula in (scheme_formula, lambda *args: scheme_formula(*args)._replace(floor=None)):
+        monkeypatch.setattr(stability, "scheme_formula", formula)
+        for scan in (stability._single_blocking_coalition, stability._blocking_coalition):
+            table = stability._ErrorTable(config, Uniform(), prefs)
+            table.extend(2)
+            # each player's own block, memoised as the bounds would leave it
+            table.memo = [{1: current[0]}, {2: current[1]}]
+            table.current_errors = lambda masks: current
+            found.append(scan((1, 2), 2, table, prefs, strict_notion))
+    assert found == [3, 3, 3, 3]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ bias coefficient together changes no verdict."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,7 @@ from fedgame import (
     Partition,
     TwoSizeGame,
     Uniform,
+    ValidationError,
     coalition_errors,
     exact_config,
     exact_scheme,
@@ -36,8 +38,9 @@ from fedgame import (
     two_size_individually_stable,
     two_size_weak_blocking_search,
 )
+from fedgame import stability
 from fedgame.model import NOTIONS, _mask_members
-from fedgame.errors import _sample_sums
+from fedgame.errors import _sample_sums, scheme_formula
 from fedgame.stability import (
     Deviation,
     PreferenceOrder,
@@ -253,7 +256,9 @@ def test_the_flat_sums_are_every_masks_sample_sums(table_game, stable):
     # Built all at once, level by level (each level asked for twice), and by
     # a single verdict's scan, which extends them as far as it scans: every
     # mask below 2^t gets N and Q as ``_sample_sums`` gives them, and, for a
-    # scheme with a shared term only, its members in ascending order.
+    # scheme with a shared term and no floor only, its members in ascending
+    # order (a scheme with a floor lists the few masks it does not settle
+    # on demand).
     config, scheme, prefs = table_game
     m = len(config.players)
     at_once = _ErrorTable(config, scheme, prefs)
@@ -271,7 +276,7 @@ def test_the_flat_sums_are_every_masks_sample_sums(table_game, stable):
     for table in (at_once, by_level, scanned):
         size = len(table.totals)
         assert size & (size - 1) == 0 and len(table.squares) == size
-        assert (table.members is None) == (table.shared is None)
+        assert (table.members is None) == (table.shared is None or table.floor is not None)
         for mask in range(size):
             members = _mask_members(mask)
             sums = table.totals[mask], table.squares[mask]
@@ -455,3 +460,159 @@ def test_two_size_individual_search_agrees_with_the_labelled_verdict(
     if alone and allow_singleton_deviation and sum(found.source) > 1:
         deviations += [(mover, ()) for mover in movers]
     assert any(deviates(mover, hosts) for mover, hosts in deviations), found
+
+
+# --- the floor filter -----------------------------------------------------------
+
+
+@st.composite
+def regression_games(draw):
+    """(config, scheme, partition, prefs): linear regression with 1 to 7
+    players under uniform or coarse federation.  The bias coefficient may be
+    0, where the floor settles nothing.  Half the draws with a bias put some
+    counts at a threshold, with integer parameters so that the ties there
+    are exact: n = d*mu_e/sigma_bias_sq, the many-samples threshold, or
+    n = d*mu_e/sigma_bias_sq + d + 1, where every coalition of equal counts
+    gives each member their error alone.  The others draw mu_e against the
+    bias from 2^-60 to 2^60 times it, down to a variance part below the bias
+    part's last bit.  Then mu_e and the bias are scaled together by 2^-60
+    to 2^60."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 7))
+    counts = st.integers(d + 2, 120)
+    players = draw(st.lists(counts | st.integers(d + 2, 10**4), min_size=m, max_size=m))
+    bias = draw(st.sampled_from([0, 1, 4]) | st.floats(0.01, 10.0))
+    if bias and draw(st.booleans()):
+        unit = draw(st.integers(1, 8))
+        threshold = draw(counts)
+        mu_e, bias = threshold * unit, d * unit
+        if draw(st.booleans()):
+            threshold += d + 1
+        players = [threshold if draw(st.booleans()) else n for n in players]
+    else:
+        # half of these below 2^-30, where the variance part may vanish in
+        # the bias part's rounding
+        exponent = draw(st.integers(-60, -30) | st.integers(-60, 60))
+        mu_e = draw(st.floats(0.1, 100.0)) * math.ldexp(1.0, exponent)
+    scale = math.ldexp(1.0, draw(st.integers(-60, 60)))
+    bias = float(bias) * scale
+    config = GameConfig(tuple(players), float(mu_e) * scale, bias, LinRegSpec(d, bias))
+    weights = draw(
+        st.lists(st.sampled_from([0.0, 0.125, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=m, max_size=m)
+    )
+    scheme = draw(st.sampled_from([Uniform(), Coarse(dict(enumerate(weights)))]))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    blocks = [[j for j in range(m) if labels[j] == b] for b in sorted(set(labels))]
+    partition = draw(
+        st.sampled_from([Partition.from_blocks(blocks), Partition.singletons(m), Partition.grand(m)])
+    )
+    return config, scheme, partition, PreferenceOrder(exact=draw(st.booleans()))
+
+
+def _unfiltered():
+    """The scans' formula seam with each scheme's ``floor`` dropped: every
+    member they ask about is evaluated in full."""
+    return mock.patch.object(
+        stability, "scheme_formula", lambda scheme, cfg: scheme_formula(scheme, cfg)._replace(floor=None)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(regression_games(), st.booleans())
+def test_the_floor_filter_changes_no_verdict_witness_or_stable_set(game, strict_notion):
+    # Regression uniform and coarse have a floor; without it the scans
+    # evaluate every member they ask about.  Both scans answer the same.
+    config, scheme, partition, prefs = game
+    assert _ErrorTable(config, scheme, prefs).floor is not None
+    verdict_of = is_strict_core_stable if strict_notion else is_core_stable
+    notion = "strict" if strict_notion else "core"
+    m = len(config.players)
+
+    def answers():
+        verdict = verdict_of(partition, scheme, config, prefs)
+        # Bell(7) = 877 partitions: the stable sets from 6 players on in float mode only
+        search = m <= 5 or not prefs.exact
+        return verdict, search and find_stable_partitions(config, scheme, notion, prefs)
+
+    filtered = answers()
+    with _unfiltered():
+        assert _ErrorTable(config, scheme, prefs).floor is None
+        assert answers() == filtered
+
+
+@PROPERTY_SETTINGS
+@given(regression_games(), st.booleans(), st.data())
+def test_the_filtered_scans_find_what_the_full_scans_find_at_the_floor(game, strict_notion, data):
+    # Both scans, against current errors drawn where the settle rule is
+    # decided.  A target coalition is drawn; each of its members' current
+    # error is their floor or their error in it, times 1, 1.01 or 1.5 and,
+    # in float mode, 1 -/+ 1e-9 or one last-bit step down or up.  A member
+    # whose floor is at or just past their bound is settled; one just
+    # short of it is evaluated.  Every other player's current error is 0,
+    # so only the target's subsets can block.
+    config, scheme, _, prefs = game
+    m = len(config.players)
+    layer_config, layer_scheme = (
+        (exact_config(config), exact_scheme(scheme)) if prefs.exact else (config, scheme)
+    )
+    error, shared, floor = scheme_formula(layer_scheme, layer_config)
+    members = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    total, square = _sample_sums(members, config.players)
+    terms = shared(members, total)
+    current = [0] * m
+    for j in members:
+        value = floor(j, total, square) if data.draw(st.booleans()) else error(j, total, square, terms)
+        near = [value, value * 101 / 100, value * 3 / 2]
+        if not prefs.exact:
+            near += [
+                value * (1 - 1e-9),
+                value * (1 + 1e-9),
+                math.nextafter(value, -math.inf),
+                math.nextafter(value, math.inf),
+            ]
+        current[j] = data.draw(st.sampled_from(near))
+    masks = Partition.singletons(m).masks
+
+    def scans():
+        found = []
+        for scan in (_single_blocking_coalition, _blocking_coalition):
+            table = _ErrorTable(config, scheme, prefs)
+            table.extend(m)
+            # each player's own block, memoised as the bounds would leave it
+            # (the single verdict's scan skips it instead)
+            table.memo = [{1 << j: err} for j, err in enumerate(current)]
+            table.current_errors = lambda masks: current
+            found.append(scan(masks, m, table, prefs, strict_notion))
+        return found
+
+    filtered = scans()
+    with _unfiltered():
+        assert scans() == filtered
+
+
+@PROPERTY_SETTINGS
+@given(tables(), st.data())
+def test_the_floor_is_given_for_regression_uniform_and_coarse_and_bounds_the_error(
+    table_game, data
+):
+    # ``floor`` is the part of the error that ``error`` adds last to a
+    # non-negative variance part, so it never exceeds the error, in float
+    # and in exact mode.  It is None under every other scheme and under
+    # mean estimation.
+    config, scheme, prefs = table_game
+    if prefs.exact:
+        config, scheme = exact_config(config), exact_scheme(scheme)
+    error, shared, floor = scheme_formula(scheme, config)
+    regression = config.linreg is not None and isinstance(scheme, (Uniform, Coarse))
+    assert (floor is not None) == regression
+    if floor is None:
+        return
+    m = len(config.players)
+    members = _mask_members(data.draw(st.integers(1, (1 << m) - 1)))
+    total, square = _sample_sums(members, config.players)
+    try:
+        errs = {j: error(j, total, square, shared(members, total)) for j in members}
+    except ValidationError:  # an overflow, refused
+        return
+    for j, err in errs.items():
+        assert floor(j, total, square) <= err, (members, j)

@@ -10,6 +10,7 @@ from fedgame import (
     FineWeights,
     GameConfig,
     LinRegSpec,
+    Uniform,
     ValidationError,
     mse_coarse,
     mse_fine,
@@ -20,6 +21,7 @@ from fedgame import (
     optimal_v,
     optimal_w,
 )
+from fedgame import weights
 from oracles import (
     golden_section_min,
     random_coalition,
@@ -299,6 +301,22 @@ def test_membership_checked():
         optimal_w(3, Coalition((0, 1)), T4_CONFIG)
     with pytest.raises(ValidationError):
         optimal_v(2, Coalition((0, 1)), T4_CONFIG)
+
+
+def test_the_weights_functions_refuse_a_coalition_or_config_of_the_wrong_type():
+    # a member list is not a Coalition: it used to raise AttributeError from
+    # optimal_w and optimal_v, and to answer a row from explicit_row
+    calls = (
+        lambda coalition, config: weights.optimal_w(0, coalition, config),
+        lambda coalition, config: weights.optimal_v(0, coalition, config),
+        lambda coalition, config: weights.coarse_row(0, coalition, 0.5, config),
+        lambda coalition, config: weights.explicit_row(0, coalition, Uniform(), config),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="^coalition: must be a Coalition, got list$"):
+            call([0, 1], T4_CONFIG)
+        with pytest.raises(ValidationError, match="^config: must be a GameConfig, got NoneType$"):
+            call(T4_GRAND, None)
 
 
 def test_fine_weights_reject_nan_row():

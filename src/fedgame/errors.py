@@ -20,10 +20,16 @@ member's closed form given the coalition's sample sums N and Q, and
 is None for the schemes whose member error needs only (n_j, N, Q): local,
 mean uniform, coarse-optimal and mean coarse; the fine-grained schemes share
 the member list and regression uniform and coarse the global variance.
-Those two also give ``floor(j, N, Q)``, the member's bias part, which needs
-no shared term: ``error`` adds it last to a non-negative variance part, so
-it is a lower bound on the error, exact by construction, that a stability
-scan compares first.
+Regression uniform and coarse and fine-optimal also give
+``floor(j, N, Q, rest)``, a lower bound on the error that needs no shared
+term and costs O(1), which a stability scan compares first; ``rest`` sums
+the scheme's per-player ``addends`` (fine-optimal: 1/V_i) over the other
+members, or their sample counts.  The regression floor is the bias part,
+which ``error`` adds last to a non-negative variance part.  The fine-optimal
+floor is the error's closed form a_j*(1 + b*S)/(1 + V_j*S): in exact mode
+the error itself, which ``Formula.floor_is_error`` says so a scan can take
+it as the error, in float mode reduced by a relative bound on the rounding
+of both ways of computing it, derived in the ``Formula`` docstring.
 ``member_formula`` checks one coalition, takes its sums and shared term and
 binds them to ``error``; ``coalition_errors`` (every member),
 ``coalition_member_mse`` (one member) and the per-scheme functions go
@@ -261,15 +267,58 @@ class Formula(NamedTuple):
     share the member list; regression uniform and coarse share the global
     variance.
 
-    ``floor(j, N, Q)`` is the part of player j's error that needs no shared
-    term: the bias part sigma_bias_sq*B_j*(1-w)^2/N^2, with w = 0 under
-    uniform federation.  It is given only where ``shared`` is the regression
-    global variance, and is None elsewhere.  ``error`` adds it last to a
-    variance part that is non-negative (a coarse weight lies in [0,1]), so
-    ``error`` >= ``floor``: in float mode because rounding is monotone, in
-    exact mode because the two differ by that variance.  A scan settles a
-    member whose floor already rules out a gain without taking the shared
-    term.
+    ``floor(j, N, Q, rest)`` is a lower bound on player j's error that needs
+    no shared term and costs O(1): ``floor <= error`` always, so a scan
+    settles a member whose floor already rules out a gain without taking the
+    shared term.  ``rest`` is the sum of ``addends``, one value per player,
+    over the coalition's members other than j, in ascending order from 0;
+    where ``addends`` is None it is their sample count, N - n_j.  ``floor``
+    is given for regression uniform and coarse and for fine-optimal, and is
+    None elsewhere; ``addends`` is None but under fine-optimal.
+    ``floor_is_error`` says that the floor is the error itself, to the last
+    bit and of the same type, so a scan may take it as the error: so only
+    under fine-optimal federation in exact mode.
+
+    Regression uniform and coarse: the floor is the bias part
+    sigma_bias_sq*B_j*(1-w)^2/N^2, w = 0 under uniform federation and
+    B_j = Q - n_j^2 + rest^2.  ``error`` adds it last to a variance part
+    that is non-negative (a coarse weight lies in [0,1]), so
+    ``error >= floor``: in float mode because rounding is monotone, in exact
+    mode because the two differ by that variance.
+
+    Fine-optimal: ``addends`` are the 1/V_i, so ``rest`` is S, the sum of
+    1/V_i over the other members that ``error`` takes, bit for bit.  With
+    a_i = mu/n_i, b the bias (``effective_mean_params``) and V_i = b + a_i,
+    the error at j's optimal row is E = a_j*(1 + b*S)/(1 + V_j*S); a member
+    alone has S = 0 and E = a_j, their local error under mean estimation
+    and below it under regression.  In exact mode the floor is the error
+    itself: E, for the identity holds in rationals, and for a member alone
+    their local error.  In float mode it is E computed in floats with mu
+    replaced by mu*keep, keep = 1 - (7*m + 69)*u, from a rounding-error
+    bound.  Write u = 2^-53, <k> for a product of k factors (1+e)^(+-1)
+    with |e| <= u, so |<k> - 1| <= k*u/(1 - k*u), and m for the player
+    count.  An operation with an int operand counts twice: the operand's
+    conversion, then the operation.  While every intermediate is a normal
+    float:
+      - a_i carries <2>, V_i <4>, 1/V_i <5>, S <m+4> (a sum of positive
+        terms), 1 + V_j*S <m+10> and 1 + b*S <m+7>;
+      - j's own weight, own = (1 + b*S)/(1 + V_j*S), carries <2m+18>, and
+        its term in ``error``, a_j*own^2 = own*E, comes out at least
+        (1 - g)*own*E, g = (5m+41)*u*(1 + 2^-38) for m <= 1024;
+      - the other terms are positive and sum to (1 - own)*E < E/kappa_j,
+        kappa_j = V_j/a_j.  They scale with ``scale = V_j - b``, the one
+        difference, which cancels.  Where kappa_j*u <= 1/4 it is
+        a_j*<3>*(1 + r), |r| <= 1.01*kappa_j*u, and they come out at least
+        (1 - g)*(1 - 2.02*kappa_j*u) times their sum: a loss below
+        2.02*u*E.  Elsewhere they come out at least 0: a loss below
+        E/kappa_j < 4*u*E.  So ``error`` >= E*(1 - g)*(1 - 4*u);
+      - the floor, ((mu*keep)/n_j)*(1 + b*S)/(1 + V_j*S) in that order, is
+        at most E*keep*(1 + h), h = (2m+23)*u*(1 + 2^-38).
+    So floor <= error when keep <= 1 - g - h - 4*u, and keep, exact in
+    floats, leaves nearly u to spare.  The float floor is given only where
+    mu, a non-zero bias and the counts keep every intermediate within
+    [2^-1000, 2^1000], clear of the edges of the normal range where relative
+    bounds fail, and m <= 1024 (``_fine_floor_scale``).
 
     Every float error is finite: one that overflows, or is NaN from an
     overflow, raises ``ValidationError``.
@@ -277,7 +326,32 @@ class Formula(NamedTuple):
 
     error: Callable[[int, int, int, Any], Number]
     shared: Optional[Callable[[Sequence[int], int], Any]]
-    floor: Optional[Callable[[int, int, int], Number]]
+    floor: Optional[Callable[[int, int, int, Number], Number]]
+    addends: Optional[Sequence[Number]]
+    floor_is_error: bool
+
+
+# the range a float fine-optimal floor needs of mu and the bias (``Formula``)
+_LOW, _HIGH = 2.0**-100, 2.0**100
+
+
+def _fine_floor_scale(mu: Number, bias: Number, n_max: int, m: int) -> Optional[Number]:
+    """mu*keep for the float fine-optimal floor (``Formula``), or None where
+    there is none: unless m <= 1024, the largest count n_max <= 2^60, and mu
+    and a non-zero bias b lie in [2^-100, 2^100].
+
+    Those bounds keep every intermediate of ``error`` and of the floor, in
+    any coalition, within [2^-1000, 2^1000]: a_i >= 2^-160,
+    V_i <= b + mu <= 2^101, V_max/V_min <= n_max, so 1 + V_j*S <= 2^71,
+    1/V_i, b*S and S within [2^-201, 2^171], ``scale`` >= a_j/2 wherever
+    its cancellation is bounded, each weight >= 2^-333 and each term
+    ``error`` sums >= 2^-826.  O(1), given the largest count.
+    """
+    if m > 1024 or n_max > 2**60 or not _LOW <= mu <= _HIGH:
+        return None
+    if bias and not _LOW <= bias <= _HIGH:
+        return None
+    return mu * (1 - (7 * m + 69) * 2.0**-53)
 
 
 def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
@@ -285,14 +359,15 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
 
     Everything that does not depend on the coalition is done here, once: the
     scheme dispatch, each player's local error, the optimal-weight
-    parameters, the optimal-fine V_i and 1/V_i, and each player's
+    parameters, the optimal-fine V_i and 1/V_i (and, in float mode, whether
+    a floor is given, from the largest count), and each player's
     linear-regression numerator mu_e*n_i*n_i*d and denominator n_i-d-1.
 
     A member's error costs O(1), or O(|C|) under the fine-grained schemes,
-    plus the shared term, O(|C|), once per coalition.  A coarse weight or a
-    fine row is looked up only for the member asked about.  A member whose
-    own samples are the coalition's (N = n_j) is alone and gets their local
-    error.
+    plus the shared term, O(|C|), once per coalition; a floor costs O(1),
+    given its ``rest``.  A coarse weight or a fine row is looked up only for
+    the member asked about.  A member whose own samples are the coalition's
+    (N = n_j) is alone and gets their local error.
     """
     ns = config.players
     mu_e = config.mu_e
@@ -310,7 +385,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, ns[j], total)
 
-        return Formula(local_error, None, None)
+        return Formula(local_error, None, None, None, False)
     if isinstance(scheme, Fine):
         rows = scheme.rows
 
@@ -328,7 +403,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, ns[j], total)
 
-        return Formula(fine, _listed, None)
+        return Formula(fine, _listed, None, None, False)
     if isinstance(scheme, CoarseOptimal):
         mu, bias, _ = effective_mean_params(config)
 
@@ -342,7 +417,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, n, total)
 
-        return Formula(coarse_optimal, None, None)
+        return Formula(coarse_optimal, None, None, None, False)
     if isinstance(scheme, FineOptimal):
         mu, bias, v_of, inv = _optimal_fine_terms(config)
 
@@ -377,7 +452,27 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, n, total)
 
-        return Formula(fine_optimal, _listed, None)
+        if not isinstance(v_of[0], float):
+            lead = [mu / n for n in ns]
+
+            def exact_floor(j: int, total: int, square: int, rest: Number) -> Number:
+                """The error itself: E = a_j*(1 + b*S)/(1 + V_j*S), S = ``rest``,
+                or the local error of a member alone (``Formula``)."""
+                if total == ns[j]:
+                    return local[j]
+                return lead[j] * (1 + bias * rest) / (1 + v_of[j] * rest)
+
+            return Formula(fine_optimal, _listed, exact_floor, inv, True)
+        scaled = _fine_floor_scale(mu, bias, max(ns), len(ns))
+        if scaled is None:
+            return Formula(fine_optimal, _listed, None, None, False)
+
+        def float_floor(j: int, total: int, square: int, rest: Number) -> Number:
+            """E*keep, E = a_j*(1 + b*S)/(1 + V_j*S) and S = ``rest``
+            (``Formula``)."""
+            return scaled / ns[j] * (1 + bias * rest) / (1 + v_of[j] * rest)
+
+        return Formula(fine_optimal, _listed, float_floor, inv, False)
     bias_coef = _bias_coef(config)
     global_variance = None
     if config.linreg is not None:
@@ -415,10 +510,11 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
 
     if isinstance(scheme, Uniform):
 
-        def uniform_bias(j: int, total: int, square: int) -> Number:
+        def uniform_bias(j: int, total: int, square: int, rest: int) -> Number:
             n = ns[j]
-            # B_j inline (``_bias_integer``): this runs once per member a scan asks about
-            bias = bias_coef * (square - n * n + (total - n) ** 2) / (total * total)
+            # B_j inline (``_bias_integer``), rest = N - n_j: this runs once
+            # per member a scan asks about
+            bias = bias_coef * (square - n * n + rest * rest) / (total * total)
             if bias < _INF:
                 return bias
             raise _overflow(scheme, n, total)
@@ -430,28 +526,28 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             else:
                 if variance is None:  # mean estimation: no shared term
                     variance = mu_e / total
-                err = variance + uniform_bias(j, total, square)
+                err = variance + uniform_bias(j, total, square, total - n)
             if err < _INF:
                 return err
             raise _overflow(scheme, n, total)
 
         floor = None if global_variance is None else uniform_bias
-        return Formula(uniform, global_variance, floor)
+        return Formula(uniform, global_variance, floor, None, False)
     if isinstance(scheme, Coarse):
         weights = scheme.weights
 
-        def coarse_bias(j: int, total: int, square: int) -> Number:
+        def coarse_bias(j: int, total: int, square: int, rest: int) -> Number:
             if j not in weights:
                 raise ValidationError(f"coarse scheme has no weight for player {j}")
             n = ns[j]
-            b = square - n * n + (total - n) ** 2  # B_j, ``_bias_integer``
+            b = square - n * n + rest * rest  # B_j, ``_bias_integer``, rest = N - n_j
             bias = bias_coef * b * (1 - weights[j]) ** 2 / (total * total)
             if bias < _INF:
                 return bias
             raise _overflow(scheme, n, total)
 
         def coarse(j: int, total: int, square: int, global_var: Optional[Number]) -> Number:
-            bias = coarse_bias(j, total, square)
+            bias = coarse_bias(j, total, square, total - ns[j])
             n = ns[j]
             if total == n:
                 err = local[j]
@@ -462,7 +558,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             raise _overflow(scheme, n, total)
 
         floor = None if global_variance is None else coarse_bias
-        return Formula(coarse, global_variance, floor)
+        return Formula(coarse, global_variance, floor, None, False)
     raise ValidationError(f"unknown federation scheme {scheme!r}")
 
 
@@ -486,7 +582,7 @@ def member_formula(
     _check_player(members[0], config)
     _check_player(members[-1], config)
     total, square = _sample_sums(members, config.players)
-    error, shared, _ = scheme_formula(scheme, config)
+    error, shared, _, _, _ = scheme_formula(scheme, config)
     terms = None if shared is None else shared(members, total)
     return lambda j: error(j, total, square, terms)
 

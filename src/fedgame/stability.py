@@ -8,17 +8,21 @@ settled by its first member who does not gain, and the members after that
 one are never evaluated.  The scheme is resolved once per error table, to
 the ``errors.Formula`` of its closed form, and a coalition costs one direct
 call of that closed form per member asked about: its sample sums are read
-from flat per-mask lists, its members are listed only for a scheme with a
-shared term and no floor, and that term is taken once per visit.  Under
-regression uniform and coarse federation, whose shared term is the global
-variance, both blocking scans ask the member's ``Formula.floor`` first: the
-bias part, a lower bound on the error that costs O(1).  A member is settled
-as not gaining when ``floor >= lower[j]`` and, for the strict core, also
-``floor > upper[j]``; only a member it does not settle costs the global
-variance (once per visit, the mask's members listed then) and a call of
-the closed form.  The table
-(``_ErrorTable``) builds those lists one top player at a time: the masks in
-``[2^t, 2^(t+1))`` are the masks below ``2^t`` plus player t.
+from flat per-mask lists, and its shared term, if any, is taken once per
+visit, its members listed then.  No table lists members up front.  Under a
+scheme with a ``Formula.floor`` (regression uniform and coarse, whose shared
+term is the global variance, and fine-optimal, whose shared term is the
+member list), both blocking scans ask the member's floor first: a lower
+bound on the error that costs O(1).  A member is settled as not gaining
+when ``floor >= lower[j]`` and, for the strict core, also
+``floor > upper[j]``; only a member it does not settle costs the shared
+term (once per visit) and a call of the closed form.  A floor that is the
+error (exact fine-optimal, ``Formula.floor_is_error``) is taken as the
+error, and the closed form is not called.  The fine-optimal floor reads
+the sum of 1/V_i over the mask's other members from a third flat list
+beside the sample sums.  The table (``_ErrorTable``) builds those
+lists one top player at a time: the masks in ``[2^t, 2^(t+1))`` are the
+masks below ``2^t`` plus player t.
 
 A single core or strict-core verdict scans on a table of its own and keeps
 no member memo: it extends the sum lists only as far as it scans,
@@ -26,10 +30,14 @@ evaluates each member at most once and skips the partition's own blocks
 (``_single_blocking_coalition``).  The stable-set search shares one table
 between Bell(m) partitions that revisit the same masks: it builds all 2^m
 sums up front and memoises member errors in per-player dicts keyed by mask
-(``_blocking_coalition``).  A one-player mask (a partition's one-player
-block, or a player's stay-alone check) skips the member list, sums and
-block dict of ``_ErrorTable.filled``: its error is one call of the closed
-form with N = n_j (``_ErrorTable.alone``).
+(``_blocking_coalition``).  It asks the regression floors on every memo
+miss, and memoises a floor that is the error as the error.  It leaves the
+float fine-optimal floor out: that floor lies just below the error, and
+across those partitions nearly every such error comes to be needed.  A
+one-player mask (a partition's one-player block, or a player's stay-alone
+check) skips the member list, sums and block dict of
+``_ErrorTable.filled``: its error is one call of the closed form with
+N = n_j (``_ErrorTable.alone``).
 
 The scans work on a partition as its tuple of block bitmasks: the public
 verdicts read their ``Partition``'s ``masks``, and the stable-set search
@@ -165,12 +173,14 @@ class _ErrorTable:
     member on demand, and the sample sums of every mask below ``2^t``.
 
     The scheme is resolved once, in ``__init__``, to the ``errors.Formula``
-    ``(error, shared, floor)``.  ``memo[j]`` maps a mask to player j's error
-    in its coalition.  ``totals[mask]`` and ``squares[mask]`` are the mask's
-    sample sums N and Q and, only for a scheme with a shared term and no
-    floor, ``members[mask]`` its member list in ascending order (else
-    ``members`` is None: a scheme with a floor lists a mask's members only
-    when the floor does not settle the member asked about).  The lists
+    ``(error, shared, floor, addends, floor_is_error)``.  ``memo[j]`` maps a
+    mask to player j's error in its coalition.  ``totals[mask]`` and
+    ``squares[mask]`` are the mask's sample sums N and Q, and
+    ``rests[mask]`` the sum of the scheme's addends over its members in
+    ascending order from 0 (under fine-optimal federation the sum of 1/V_i
+    that ``error`` takes), which a member's floor reads at the mask without
+    them; without addends ``rests`` is ``totals``.  No list holds a mask's members: a scan lists
+    them (``_mask_members``) when it takes the shared term.  The lists
     start at mask 0 and grow one top player at a time (``extend``): the
     masks in ``[2^t, 2^(t+1))`` are the masks below ``2^t`` plus player t,
     one list comprehension each.  A mask beyond them takes its sums from
@@ -200,26 +210,28 @@ class _ErrorTable:
         if prefs.exact:
             config = exact_config(config)
             scheme = exact_scheme(scheme)
-        self.error, self.shared, self.floor = scheme_formula(scheme, config)
+        formula = scheme_formula(scheme, config)
+        self.error, self.shared, self.floor, self.addends, self.floor_is_error = formula
         self.ns = config.players
         self.totals: list[int] = [0]
         self.squares: list[int] = [0]
-        listed = self.shared is not None and self.floor is None
-        self.members: Optional[list[list[int]]] = [[]] if listed else None
+        # without addends, a floor's ``rest`` sums the sample counts
+        self.rests: list[Number] = self.totals if self.addends is None else [0]
         self.memo: list[dict[int, Number]] = [{} for _ in config.players]
         self._blocks: dict[int, dict[int, Number]] = {}
 
     def extend(self, top: int) -> None:
         """Give the sum lists every mask below ``2^top``: per player t not
         yet added, each mask below ``2^t`` again with player t."""
-        totals, squares, members = self.totals, self.squares, self.members
+        totals, squares, rests, addends = self.totals, self.squares, self.rests, self.addends
         for t in range(len(totals).bit_length() - 1, top):
             n = self.ns[t]
             square = n * n
             totals += [total + n for total in totals]
             squares += [sq + square for sq in squares]
-            if members is not None:
-                members += [[*listed, t] for listed in members]
+            if addends is not None:
+                addend = addends[t]
+                rests += [rest + addend for rest in rests]
 
     def coalition(
         self, mask: int, members: Optional[list[int]] = None
@@ -228,8 +240,6 @@ class _ErrorTable:
         when given, are the mask's members in ascending order."""
         if mask < len(self.totals):
             total, square = self.totals[mask], self.squares[mask]
-            if self.members is not None:
-                members = self.members[mask]
         else:
             if members is None:
                 members = _mask_members(mask)
@@ -273,15 +283,24 @@ class _ErrorTable:
 
     def current_errors(self, masks: Sequence[int]) -> list[Number]:
         """Every player's error in its own coalition, indexed by player,
-        given the partition's block masks."""
+        given the partition's block masks.  A one-player block is ``alone``
+        inline, without a method call per player: a verdict on m singletons
+        asks for m of them, and such verdicts hold the median rank of
+        single-verdict latencies."""
         current: list[Number] = [0] * len(self.ns)
+        memo, ns, error, shared = self.memo, self.ns, self.error, self.shared
         for mask in masks:
             if mask & (mask - 1):
                 for j, err in self.filled(mask).items():
                     current[j] = err
             else:
                 j = mask.bit_length() - 1
-                current[j] = self.alone(j)
+                err = memo[j].get(mask)
+                if err is None:
+                    n = ns[j]
+                    terms = None if shared is None else shared([j], n)
+                    err = memo[j][mask] = error(j, n, n * n, terms)
+                current[j] = err
         return current
 
 
@@ -318,11 +337,14 @@ def _blocking_coalition(
     first member who does not gain; later members' errors are not computed.
     A strict gain is also a weak one (``PreferenceOrder.bounds``).  On a
     memo miss, a scheme's ``floor`` may settle the member first: that member
-    is neither evaluated nor memoised, and the shared term is not taken.
+    is neither evaluated nor memoised, and the shared term is not taken.  A
+    floor that is the error (``Formula.floor_is_error``) is memoised as the
+    error instead, and the member is never evaluated.
     """
     lower, upper = prefs.bounds(table.current_errors(masks))
     error, shared, floor, memo = table.error, table.shared, table.floor, table.memo
-    totals, squares, listed = table.totals, table.squares, table.members
+    totals, squares, rests = table.totals, table.squares, table.rests
+    floor_is_error = floor is not None and table.floor_is_error
     for mask in range(1, 1 << m):
         low = mask & -mask
         j = low.bit_length() - 1
@@ -332,16 +354,18 @@ def _blocking_coalition(
         while True:
             err = memo[j].get(mask)
             if err is None:
-                if floor is not None:
-                    least = floor(j, totals[mask], squares[mask])
-                    if least >= lower[j] and not (strict_notion and least <= upper[j]):
-                        break
-                if total is None:
-                    total = totals[mask]
-                    if shared is not None:
-                        members = _mask_members(mask) if listed is None else listed[mask]
-                        terms = shared(members, total)
-                err = memo[j][mask] = error(j, total, squares[mask], terms)
+                if floor_is_error:
+                    err = memo[j][mask] = floor(j, totals[mask], squares[mask], rests[mask ^ low])
+                else:
+                    if floor is not None:
+                        least = floor(j, totals[mask], squares[mask], rests[mask ^ low])
+                        if least >= lower[j] and not (strict_notion and least <= upper[j]):
+                            break
+                    if total is None:
+                        total = totals[mask]
+                        if shared is not None:
+                            terms = shared(_mask_members(mask), total)
+                    err = memo[j][mask] = error(j, total, squares[mask], terms)
             if err < lower[j]:
                 strict = True
             elif not (strict_notion and err <= upper[j]):
@@ -371,12 +395,17 @@ def _single_blocking_coalition(
     the partition's own blocks: their members' errors are the current ones,
     already filled for the bounds, so they cannot block.  ``memo`` ends up
     holding those blocks' errors only.  A scheme's ``floor`` settles members
-    as in ``_blocking_coalition``, before the shared term is taken.
+    as in ``_blocking_coalition``, before the shared term is taken, and a
+    floor that is the error is taken as the error.
     """
     lower, upper = prefs.bounds(table.current_errors(masks))
     error, shared, floor, ns = table.error, table.shared, table.floor, table.ns
-    totals, squares, listed = table.totals, table.squares, table.members
+    totals, squares, rests, addends = table.totals, table.squares, table.rests, table.addends
     own = set(masks)
+    floor_is_error = floor is not None and table.floor_is_error
+    # a shared term is taken on the visit to a mask; under a floor (every
+    # scheme with one has a shared term) only for a member it does not settle
+    eager = floor is None and shared is not None
     for top in range(m):
         # ``_ErrorTable.extend(top + 1)``, inline: a method call per level
         # shows on a verdict whose witness is among the first masks
@@ -384,28 +413,32 @@ def _single_blocking_coalition(
         n_square = n * n
         totals += [total + n for total in totals]
         squares += [sq + n_square for sq in squares]
-        if listed is not None:
-            listed += [[*members, top] for members in listed]
+        if addends is not None:
+            addend = addends[top]
+            rests += [rest + addend for rest in rests]
         for mask in range(1 << top, 2 << top):
             if mask in own:
                 continue
             total = totals[mask]
             square = squares[mask]
-            terms = None if listed is None else shared(listed[mask], total)
+            terms = shared(_mask_members(mask), total) if eager else None
             rest = mask
             strict = False
             while True:
                 low = rest & -rest
                 j = low.bit_length() - 1
-                if floor is not None:
-                    least = floor(j, total, square)
-                    if least >= lower[j] and not (strict_notion and least <= upper[j]):
-                        break
-                    if terms is None:
-                        # the global variance, once per visit (None only
-                        # for a one-player mask, which has one member)
-                        terms = shared(_mask_members(mask), total)
-                err = error(j, total, square, terms)
+                if floor_is_error:
+                    err = floor(j, total, square, rests[mask ^ low])
+                else:
+                    if floor is not None:
+                        least = floor(j, total, square, rests[mask ^ low])
+                        if least >= lower[j] and not (strict_notion and least <= upper[j]):
+                            break
+                        if terms is None:
+                            # the shared term, once per visit (None only for
+                            # a one-player mask, which has one member)
+                            terms = shared(_mask_members(mask), total)
+                    err = error(j, total, square, terms)
                 if err < lower[j]:
                     strict = True
                 elif not (strict_notion and err <= upper[j]):
@@ -546,6 +579,12 @@ def find_stable_partitions(
     m = len(config.players)
     _require_cap(m, MAX_PARTITION_PLAYERS, "stable-partition search")
     table = _ErrorTable(config, scheme, prefs)
+    if table.addends is not None and not table.floor_is_error:
+        # a float floor over addends (fine-optimal) lies just below the
+        # error, so it settles a member nearly where the error would, and
+        # Bell(m) partitions come to need nearly every such error: asked on
+        # each memo miss it would only add calls
+        table.floor = None
     # Bell(m) partitions revisit the same masks: every mask's sums up front
     table.extend(m)
     if notion == "individual":

@@ -252,8 +252,9 @@ def check_verdicts() -> None:
     """The singletons of (5, 5, 25) are blocked by {a,b}, and the (5, 5, 5)
     grand coalition is core and individually stable, in both modes.  Below
     the threshold, the optimal grand coalition of eight players is core and
-    strict-core stable: a full scan of its 255 coalitions, with member lists
-    under fine-optimal federation and without under coarse-optimal.  Eight
+    strict-core stable: a full scan of its 255 coalitions, where the floor
+    settles most coalitions under fine-optimal federation and none has one
+    under coarse-optimal.  Eight
     large linear-regression players alone are core and strict-core stable
     under uniform and coarse federation: a full scan where the floor settles
     most coalitions without the global variance."""

@@ -10,6 +10,7 @@ from fedgame import (
     Coarse,
     CoarseOptimal,
     Fine,
+    FineOptimal,
     GameConfig,
     LinRegSpec,
     Local,
@@ -240,12 +241,13 @@ def _formula_seam(monkeypatch):
     evaluations per mask.  The counting formula gives every scheme a shared
     term, the coalition's mask beside the scheme's own term, so a build is a
     scan's first member evaluation in a visit to a mask.  The scheme's
-    ``floor`` is passed on as it is."""
+    ``floor``, ``addends`` and ``floor_is_error`` are passed on as they
+    are."""
     seam = SimpleNamespace(resolved=0, built=[], evaluated={})
 
     def resolve(scheme, cfg):
         seam.resolved += 1
-        error, shared, floor = scheme_formula(scheme, cfg)
+        error, shared, floor, addends, floor_is_error = scheme_formula(scheme, cfg)
 
         def counting_shared(members, total):
             mask = sum(1 << j for j in members)
@@ -257,7 +259,7 @@ def _formula_seam(monkeypatch):
             seam.evaluated[mask] = seam.evaluated.get(mask, 0) + 1
             return error(j, total, square, own)
 
-        return Formula(counted, counting_shared, floor)
+        return Formula(counted, counting_shared, floor, addends, floor_is_error)
 
     monkeypatch.setattr(stability, "scheme_formula", resolve)
     return seam
@@ -371,7 +373,8 @@ def test_a_stable_regression_scan_takes_the_global_variance_only_where_the_floor
     for mask in range(1, 1 << m):
         members = Coalition.from_mask(mask).members
         j = members[0]
-        least = floor(j, *_sample_sums(members, config.players))
+        total, square = _sample_sums(members, config.players)
+        least = floor(j, total, square, total - config.players[j])
         settled = least >= lower[j] and not (strict_notion and least <= upper[j])
         if mask not in own and not settled:
             unsettled.append(mask)
@@ -401,10 +404,10 @@ def test_a_member_whose_floor_is_just_inside_its_bound_is_evaluated(monkeypatch,
     # player 0 by the floor would miss it.
     config = GameConfig((50, 80), 1e-12, 1.0, LinRegSpec(2, 1.0))
     prefs = PreferenceOrder()
-    error, shared, floor = scheme_formula(Uniform(), config)
+    error, shared, floor, _, _ = scheme_formula(Uniform(), config)
     total, square = _sample_sums((0, 1), config.players)
     terms = shared((0, 1), total)
-    least = floor(0, total, square)
+    least = floor(0, total, square, total - config.players[0])
     near = least if strict_notion else error(0, total, square, terms) * (1 + 1e-6)
     current = [near, error(1, total, square, terms) * 3 / 2]
     lower, upper = prefs.bounds(current)
@@ -423,6 +426,149 @@ def test_a_member_whose_floor_is_just_inside_its_bound_is_evaluated(monkeypatch,
             table.current_errors = lambda masks: current
             found.append(scan((1, 2), 2, table, prefs, strict_notion))
     assert found == [3, 3, 3, 3]
+
+
+# ten players below the threshold mu_e/sigma_sq = 100: the fine-optimal
+# grand coalition is strict-core stable
+FINE_GRAND = GameConfig((2, 3, 5, 8, 13, 21, 34, 55, 89, 97), 100, 1)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("strict_notion", [False, True])
+def test_a_stable_fine_optimal_grand_scan_evaluates_only_where_the_floor_does_not_settle(
+    monkeypatch, strict_notion, exact
+):
+    # A scan asks each mask's lowest member first.  ``error`` is evaluated,
+    # and the member list taken, for the grand coalition (the bounds) and,
+    # in float mode, for exactly the masks whose lowest member the floor
+    # does not settle: none here, for a member's fine-optimal error falls
+    # with each member added.  In exact mode the floor is the error, and
+    # the scan takes it as one.  The memoised scan of the stable-set search
+    # memoises the exact floor as the error, and evaluates only the grand
+    # coalition too; it has no float floor (``find_stable_partitions``).
+    m = len(FINE_GRAND.players)
+    prefs = PreferenceOrder(exact=exact)
+    config = exact_config(FINE_GRAND) if exact else FINE_GRAND
+    _, _, floor, addends, floor_is_error = scheme_formula(FineOptimal(), config)
+    assert floor_is_error == exact
+    grand = (1 << m) - 1
+    current = coalition_errors(list(range(m)), FineOptimal(), config)
+    lower, upper = prefs.bounds([current[j] for j in range(m)])
+    unsettled = []
+    for mask in range(1, grand):
+        j, *others = Coalition.from_mask(mask).members
+        total, square = _sample_sums([j, *others], config.players)
+        rest = 0
+        for i in others:
+            rest += addends[i]
+        least = floor(j, total, square, rest)
+        if not (least >= lower[j] and not (strict_notion and least <= upper[j])):
+            unsettled.append(mask)
+    assert unsettled == []
+    partition = Partition.grand(m)
+    seam = _formula_seam(monkeypatch)
+    verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
+        partition, FineOptimal(), FINE_GRAND, prefs
+    )
+    assert (verdict.stable, verdict.witness) == (True, None)
+    assert sorted(seam.built) == sorted(seam.evaluated) == [grand, *unsettled]
+    if exact:
+        seam = _formula_seam(monkeypatch)
+        table = stability._ErrorTable(FINE_GRAND, FineOptimal(), prefs)
+        table.extend(m)
+        assert stability._blocking_coalition(partition.masks, m, table, prefs, strict_notion) is None
+        assert sorted(seam.built) == sorted(seam.evaluated) == [grand]
+
+
+@pytest.mark.parametrize("strict_notion", [False, True])
+def test_an_exact_fine_optimal_scan_takes_the_floor_as_the_error(monkeypatch, strict_notion):
+    # In exact mode the fine-optimal floor is the error, so neither scan
+    # evaluates a member outside the partition's own blocks, not even the
+    # members of the witness {a,b} who gain.
+    config = GameConfig((5, 5, 25), 10, 1)
+    prefs = PreferenceOrder(exact=True)
+    partition = Partition.singletons(3)
+    seam = _formula_seam(monkeypatch)
+    verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
+        partition, FineOptimal(), config, prefs
+    )
+    assert (verdict.stable, verdict.witness) == (False, Coalition((0, 1)))
+    assert sorted(seam.evaluated) == [1, 2, 4]
+    seam = _formula_seam(monkeypatch)
+    table = stability._ErrorTable(config, FineOptimal(), prefs)
+    table.extend(3)
+    assert stability._blocking_coalition(partition.masks, 3, table, prefs, strict_notion) == 3
+    assert sorted(seam.evaluated) == [1, 2, 4]
+    assert table.memo[0][3] == coalition_errors([0, 1], FineOptimal(), exact_config(config))[0]
+
+
+@pytest.mark.parametrize("strict_notion", [False, True])
+def test_a_fine_optimal_member_whose_floor_is_just_inside_its_bound_is_evaluated(
+    monkeypatch, strict_notion
+):
+    # The float floor lies a few units in the last place below the error.
+    # Against a current error 1e-6 above that error, the floor lies just
+    # below the strict bound; against a current error equal to the floor,
+    # inside the epsilon band of a weak gain.  Player 0 gains strictly, or
+    # weakly, player 1 (at 1.5 times their error) strictly, and {0, 1}
+    # blocks the singletons.  Settling player 0 by the floor would miss it.
+    config = GameConfig((50, 80), 10.0, 1.0)
+    prefs = PreferenceOrder()
+    error, shared, floor, addends, _ = scheme_formula(FineOptimal(), config)
+    total, square = _sample_sums((0, 1), config.players)
+    terms = shared((0, 1), total)
+    least = floor(0, total, square, addends[1])
+    near = least if strict_notion else error(0, total, square, terms) * (1 + 1e-6)
+    current = [near, error(1, total, square, terms) * 3 / 2]
+    lower, upper = prefs.bounds(current)
+    if strict_notion:
+        assert lower[0] <= least <= upper[0]
+    else:
+        assert 0.999 * lower[0] < least < lower[0]
+    found = []
+    for formula in (scheme_formula, lambda *args: scheme_formula(*args)._replace(floor=None)):
+        # the single verdict's scan: the stable-set search has no float
+        # fine-optimal floor
+        monkeypatch.setattr(stability, "scheme_formula", formula)
+        table = stability._ErrorTable(config, FineOptimal(), prefs)
+        table.current_errors = lambda masks: current
+        found.append(stability._single_blocking_coalition((1, 2), 2, table, prefs, strict_notion))
+    assert found == [3, 3]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize(
+    "config, scheme, float_floor_asked",
+    [
+        (GameConfig(REGRESSION.players[:5], 20, 0.625, LinRegSpec(2, 0.625)), Uniform(), True),
+        (GameConfig((2, 3, 5, 8, 13), 10, 1), FineOptimal(), False),
+    ],
+    ids=["regression-uniform", "fine-optimal"],
+)
+def test_the_stable_set_search_asks_every_floor_but_the_float_fine_optimal_one(
+    monkeypatch, config, scheme, float_floor_asked, exact
+):
+    # The search asks a regression floor on its memo misses, and takes the
+    # exact fine-optimal floor as the error.  The float fine-optimal floor
+    # lies just below the error, whose value nearly every partition comes to
+    # need, so the search leaves it out.
+    asked = []
+
+    def resolve(scheme, cfg):
+        formula = scheme_formula(scheme, cfg)
+
+        def floor(*args):
+            asked.append(args)
+            return formula.floor(*args)
+
+        return formula._replace(floor=floor)
+
+    monkeypatch.setattr(stability, "scheme_formula", resolve)
+    prefs = PreferenceOrder(exact=exact)
+    found = find_stable_partitions(config, scheme, "strict", prefs)
+    assert bool(asked) == (exact or float_floor_asked)
+    monkeypatch.setattr(stability, "scheme_formula", scheme_formula)
+    assert find_stable_partitions(config, scheme, "strict", prefs) == found
 
 
 @pytest.mark.parametrize(

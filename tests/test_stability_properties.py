@@ -40,7 +40,7 @@ from fedgame import (
 )
 from fedgame import stability
 from fedgame.model import NOTIONS, _mask_members
-from fedgame.errors import _sample_sums, scheme_formula
+from fedgame.errors import _optimal_fine_terms, _sample_sums, scheme_formula
 from fedgame.stability import (
     Deviation,
     PreferenceOrder,
@@ -214,9 +214,9 @@ def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
     # lists, on a table extended over all masks and scanned as the
     # stable-set search scans it; and from either, on a table a single
     # verdict's scan extended as far as it reached.  ``current_errors``
-    # takes a one-player block's error from ``alone``: against a random
-    # partition, on a fresh table, after a scan and after every mask is
-    # filled, it equals ``player_errors``.
+    # takes a one-player block's error from one call of ``error``: against
+    # a random partition, on a fresh table, after a scan and after every
+    # mask is filled, it equals ``player_errors``.
     config, scheme, prefs = table_game
     errors_of = _error_layer(config, scheme, prefs)
     m = len(config.players)
@@ -255,10 +255,12 @@ def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
 def test_the_flat_sums_are_every_masks_sample_sums(table_game, stable):
     # Built all at once, level by level (each level asked for twice), and by
     # a single verdict's scan, which extends them as far as it scans: every
-    # mask below 2^t gets N and Q as ``_sample_sums`` gives them, and, for a
-    # scheme with a shared term and no floor only, its members in ascending
-    # order (a scheme with a floor lists the few masks it does not settle
-    # on demand).
+    # mask below 2^t gets N and Q as ``_sample_sums`` gives them and, under
+    # fine-optimal federation, the sum of 1/V_i over its members, in
+    # ascending order from 0, the value and type of the sum ``fine_optimal``
+    # takes; without addends, the floor's ``rest`` is read from the sample
+    # totals.  No table lists members up front: a scan lists a mask's
+    # members when it takes the shared term.
     config, scheme, prefs = table_game
     m = len(config.players)
     at_once = _ErrorTable(config, scheme, prefs)
@@ -273,17 +275,28 @@ def test_the_flat_sums_are_every_masks_sample_sums(table_game, stable):
     # singletons of the two-or-more-player games often stop early
     partition = Partition.grand(m) if stable else Partition.singletons(m)
     _single_blocking_coalition(partition.masks, m, scanned, prefs, strict_notion=False)
+    layer_config = exact_config(config) if prefs.exact else config
+    inverse = _optimal_fine_terms(layer_config)[3]
     for table in (at_once, by_level, scanned):
         size = len(table.totals)
         assert size & (size - 1) == 0 and len(table.squares) == size
-        assert (table.members is None) == (table.shared is None or table.floor is not None)
+        assert not hasattr(table, "members")
+        fine = isinstance(scheme, FineOptimal) and table.floor is not None
+        assert (table.addends is not None) == fine
+        if table.addends is None:
+            assert table.rests is table.totals
+        else:
+            assert len(table.rests) == size
         for mask in range(size):
             members = _mask_members(mask)
             sums = table.totals[mask], table.squares[mask]
             assert [type(x) for x in sums] == [int, int]
             assert sums == _sample_sums(members, config.players), mask
-            if table.members is not None:
-                assert table.members[mask] == members, mask
+            if fine:
+                expected = 0
+                for i in members:
+                    expected += inverse[i]
+                assert (type(table.rests[mask]), table.rests[mask]) == (type(expected), expected)
     assert len(at_once.totals) == 1 << m
 
 
@@ -509,6 +522,48 @@ def regression_games(draw):
     return config, scheme, partition, PreferenceOrder(exact=draw(st.booleans()))
 
 
+@st.composite
+def fine_optimal_games(draw):
+    """(config, scheme, partition, prefs): fine-optimal federation with 1 to
+    7 players, drawn where the float floor's bound is tested hardest.  A
+    third are all-ties games (every count at mu_e/sigma_sq), a third put some
+    counts at that threshold, with integer parameters so that the ties are
+    exact, and a third draw mu_e against the bias from 2^-60 to 2^60 times
+    it, with bias 0 among them: there bias/(mu/n_j) reaches 2^60, and for
+    the larger counts fl(bias + mu/n_j) == bias.  Then mu_e and the bias
+    are scaled together by 2^-1000 to 2^1000, where the float floor is
+    mostly withheld, or by 2^-60 to 2^60.  Three in four are linear
+    regression, whose optimal weights take the mean-estimation form.
+    Epsilon is 0 or 1e-9, in float or exact mode."""
+    m = draw(st.integers(1, 7))
+    d = draw(st.integers(0, 3))  # 0: mean estimation
+    low = d + 2 if d else 1
+    counts = st.integers(low, 120) | st.integers(low, 10**6)
+    kind = draw(st.sampled_from(["ties", "threshold", "ratio"]))
+    if kind == "ratio":
+        players = draw(st.lists(counts, min_size=m, max_size=m))
+        bias = draw(st.sampled_from([0, 1]) | st.floats(0.01, 10.0))
+        mu_e = draw(st.floats(0.1, 100.0)) * math.ldexp(1.0, draw(st.integers(-60, 60)))
+    else:
+        # mean-estimation threshold mu/bias = d*mu_e/(d*unit) = n
+        unit, threshold = draw(st.integers(1, 8)), draw(st.integers(low, 120))
+        mu_e, bias = threshold * unit, (d or 1) * unit
+        players = [
+            threshold if kind == "ties" or draw(st.booleans()) else draw(counts) for _ in range(m)
+        ]
+    scale = math.ldexp(1.0, draw(st.integers(-1000, 1000) | st.integers(-60, 60)))
+    mu_e, bias = float(mu_e) * scale, float(bias) * scale
+    assume(0 < mu_e < math.inf and bias < math.inf)
+    config = GameConfig(tuple(players), mu_e, bias, LinRegSpec(d, bias) if d else None)
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    blocks = [[j for j in range(m) if labels[j] == b] for b in sorted(set(labels))]
+    partition = draw(
+        st.sampled_from([Partition.from_blocks(blocks), Partition.singletons(m), Partition.grand(m)])
+    )
+    prefs = PreferenceOrder(epsilon=draw(st.sampled_from([0.0, 1e-9])), exact=draw(st.booleans()))
+    return config, FineOptimal(), partition, prefs
+
+
 def _unfiltered():
     """The scans' formula seam with each scheme's ``floor`` dropped: every
     member they ask about is evaluated in full."""
@@ -517,13 +572,24 @@ def _unfiltered():
     )
 
 
+def _outcome(answer):
+    """An answer, or the refusal it raised."""
+    try:
+        return answer()
+    except ValidationError as refusal:
+        return str(refusal)
+
+
 @PROPERTY_SETTINGS
-@given(regression_games(), st.booleans())
+@given(regression_games() | fine_optimal_games(), st.booleans())
 def test_the_floor_filter_changes_no_verdict_witness_or_stable_set(game, strict_notion):
-    # Regression uniform and coarse have a floor; without it the scans
-    # evaluate every member they ask about.  Both scans answer the same.
+    # Regression uniform and coarse have a floor, and so has fine-optimal
+    # federation where its float bound holds; without it the scans evaluate
+    # every member they ask about.  Both scans answer the same, or refuse
+    # the same.
     config, scheme, partition, prefs = game
-    assert _ErrorTable(config, scheme, prefs).floor is not None
+    regression = not isinstance(scheme, FineOptimal)
+    assert (_ErrorTable(config, scheme, prefs).floor is not None) or not regression
     verdict_of = is_strict_core_stable if strict_notion else is_core_stable
     notion = "strict" if strict_notion else "core"
     m = len(config.players)
@@ -534,10 +600,10 @@ def test_the_floor_filter_changes_no_verdict_witness_or_stable_set(game, strict_
         search = m <= 5 or not prefs.exact
         return verdict, search and find_stable_partitions(config, scheme, notion, prefs)
 
-    filtered = answers()
+    filtered = _outcome(answers)
     with _unfiltered():
         assert _ErrorTable(config, scheme, prefs).floor is None
-        assert answers() == filtered
+        assert _outcome(answers) == filtered
 
 
 @PROPERTY_SETTINGS
@@ -555,13 +621,14 @@ def test_the_filtered_scans_find_what_the_full_scans_find_at_the_floor(game, str
     layer_config, layer_scheme = (
         (exact_config(config), exact_scheme(scheme)) if prefs.exact else (config, scheme)
     )
-    error, shared, floor = scheme_formula(layer_scheme, layer_config)
+    error, shared, floor, _, _ = scheme_formula(layer_scheme, layer_config)
     members = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
     total, square = _sample_sums(members, config.players)
     terms = shared(members, total)
     current = [0] * m
     for j in members:
-        value = floor(j, total, square) if data.draw(st.booleans()) else error(j, total, square, terms)
+        least = floor(j, total, square, total - config.players[j])
+        value = least if data.draw(st.booleans()) else error(j, total, square, terms)
         near = [value, value * 101 / 100, value * 3 / 2]
         if not prefs.exact:
             near += [
@@ -590,29 +657,53 @@ def test_the_filtered_scans_find_what_the_full_scans_find_at_the_floor(game, str
         assert scans() == filtered
 
 
+def _fine_optimal_tables():
+    """(config, scheme, prefs) of ``fine_optimal_games``."""
+    return fine_optimal_games().map(lambda game: (game[0], game[1], game[3]))
+
+
 @PROPERTY_SETTINGS
-@given(tables(), st.data())
-def test_the_floor_is_given_for_regression_uniform_and_coarse_and_bounds_the_error(
+@given(tables() | _fine_optimal_tables(), st.data())
+def test_the_floor_is_given_for_regression_and_fine_optimal_schemes_and_bounds_the_error(
     table_game, data
 ):
-    # ``floor`` is the part of the error that ``error`` adds last to a
-    # non-negative variance part, so it never exceeds the error, in float
-    # and in exact mode.  It is None under every other scheme and under
-    # mean estimation.
+    # Under regression uniform and coarse, ``floor`` is the part of the
+    # error that ``error`` adds last to a non-negative variance part, so it
+    # never exceeds the error, in float and in exact mode.  Under
+    # fine-optimal federation it is the error's closed form: in exact mode
+    # the error itself, value and type (``floor_is_error``), in float mode
+    # reduced by its rounding-error bound, or withheld where that bound may
+    # not hold.  It is None under every other scheme and under mean
+    # estimation.
     config, scheme, prefs = table_game
     if prefs.exact:
         config, scheme = exact_config(config), exact_scheme(scheme)
-    error, shared, floor = scheme_formula(scheme, config)
+    error, shared, floor, addends, floor_is_error = scheme_formula(scheme, config)
     regression = config.linreg is not None and isinstance(scheme, (Uniform, Coarse))
-    assert (floor is not None) == regression
+    fine = isinstance(scheme, FineOptimal)
+    assert (floor is not None) == regression or fine and (floor is not None or not prefs.exact)
+    assert (addends is not None) == (fine and floor is not None)
+    assert floor_is_error == (fine and prefs.exact)
     if floor is None:
         return
     m = len(config.players)
-    members = _mask_members(data.draw(st.integers(1, (1 << m) - 1)))
-    total, square = _sample_sums(members, config.players)
-    try:
-        errs = {j: error(j, total, square, shared(members, total)) for j in members}
-    except ValidationError:  # an overflow, refused
-        return
-    for j, err in errs.items():
-        assert floor(j, total, square) <= err, (members, j)
+    # every mask under fine-optimal federation, whose float floor lies a
+    # few units in the last place below the error; one under regression
+    masks = range(1, 1 << m) if fine else [data.draw(st.integers(1, (1 << m) - 1))]
+    for members in map(_mask_members, masks):
+        total, square = _sample_sums(members, config.players)
+        try:
+            errs = {j: error(j, total, square, shared(members, total)) for j in members}
+        except ValidationError:  # an overflow, refused
+            continue
+        for j, err in errs.items():
+            rest = total - config.players[j]
+            if addends is not None:
+                rest = 0
+                for i in members:
+                    if i != j:
+                        rest += addends[i]
+            least = floor(j, total, square, rest)
+            assert least <= err, (members, j)
+            if floor_is_error:
+                assert (type(least), least) == (type(err), err), (members, j)

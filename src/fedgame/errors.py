@@ -41,7 +41,11 @@ Two-size profile errors are ``scheme_formula`` with the roles, small and
 large, as the players; ``two_size_formula`` resolves it once per search.
 
 A float error that overflows is refused with ``ValidationError``; every
-finite result keeps its bits.
+finite result keeps its bits.  Where a product overflows though the error
+does not, only then is the form evaluated again in another grouping: the
+optimal-coarse form with mu_e divided out, the regression global variance
+with mu_e factored out, and the uniform and coarse bias parts with the
+division by N^2 first (``_bias_again``).
 """
 
 from __future__ import annotations
@@ -247,6 +251,20 @@ def _overflow(scheme: FederationScheme, n_j: int, total: int) -> ValidationError
         f"{scheme_name(scheme)} error of a member with {n_j} samples, in a coalition "
         f"of {total} samples, overflows the float range"
     )
+
+
+def _bias_again(
+    scheme: FederationScheme, coef: Number, part: Number, n_j: int, total: int
+) -> Number:
+    """A uniform or coarse bias part evaluated again, as ``coef * part``,
+    where its first evaluation, ``coef*B_j`` before the division by N^2, is
+    not finite or overflowed converting to a float.  ``part`` is B_j/N^2,
+    times (1 - w)^2 for a coarse weight w.  Only then: every finite first
+    evaluation keeps its bits."""
+    bias = coef * part
+    if bias < _INF:
+        return bias
+    raise _overflow(scheme, n_j, total)
 
 
 def _listed(members: Sequence[int], total: int) -> Sequence[int]:
@@ -514,10 +532,14 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             n = ns[j]
             # B_j inline (``_bias_integer``), rest = N - n_j: this runs once
             # per member a scan asks about
-            bias = bias_coef * (square - n * n + rest * rest) / (total * total)
-            if bias < _INF:
-                return bias
-            raise _overflow(scheme, n, total)
+            b = square - n * n + rest * rest
+            try:
+                bias = bias_coef * b / (total * total)
+                if bias < _INF:
+                    return bias
+            except OverflowError:  # B_j too large for a float
+                pass
+            return _bias_again(scheme, bias_coef, b / (total * total), n, total)
 
         def uniform(j: int, total: int, square: int, variance: Optional[Number]) -> Number:
             n = ns[j]
@@ -541,10 +563,14 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 raise ValidationError(f"coarse scheme has no weight for player {j}")
             n = ns[j]
             b = square - n * n + rest * rest  # B_j, ``_bias_integer``, rest = N - n_j
-            bias = bias_coef * b * (1 - weights[j]) ** 2 / (total * total)
-            if bias < _INF:
-                return bias
-            raise _overflow(scheme, n, total)
+            try:
+                bias = bias_coef * b * (1 - weights[j]) ** 2 / (total * total)
+                if bias < _INF:
+                    return bias
+            except OverflowError:  # B_j, or an exact coefficient times it, too large for a float
+                pass
+            part = b / (total * total) * (1 - weights[j]) ** 2
+            return _bias_again(scheme, bias_coef, part, n, total)
 
         def coarse(j: int, total: int, square: int, global_var: Optional[Number]) -> Number:
             bias = coarse_bias(j, total, square, total - ns[j])

@@ -3,41 +3,36 @@
 Verdicts carry concrete witnesses that re-verify against the error module.
 Checks are exhaustive over candidate coalitions (player count capped) and,
 for two-size populations, count-symmetric so they scale to large counts.
-Member errors are computed per member, on demand: a candidate coalition is
-settled by its first member who does not gain, and the members after that
-one are never evaluated.  The scheme is resolved once per error table, to
-the ``errors.Formula`` of its closed form, and a coalition costs one direct
-call of that closed form per member asked about: its sample sums are read
-from flat per-mask lists, and its shared term, if any, is taken once per
-visit, its members listed then.  No table lists members up front.  Under a
-scheme with a ``Formula.floor`` (regression uniform and coarse, whose shared
-term is the global variance, and fine-optimal, whose shared term is the
-member list), both blocking scans ask the member's floor first: a lower
-bound on the error that costs O(1).  A member is settled as not gaining
-when ``floor >= lower[j]`` and, for the strict core, also
-``floor > upper[j]``; only a member it does not settle costs the shared
-term (once per visit) and a call of the closed form.  A floor that is the
-error (exact fine-optimal, ``Formula.floor_is_error``) is taken as the
-error, and the closed form is not called.  The fine-optimal floor reads
-the sum of 1/V_i over the mask's other members from a third flat list
-beside the sample sums.  The table (``_ErrorTable``) builds those
-lists one top player at a time: the masks in ``[2^t, 2^(t+1))`` are the
-masks below ``2^t`` plus player t.
+The scheme is resolved once per error table (``_ErrorTable``), to the
+``errors.Formula`` of its closed form.  A coalition's sample sums are read
+from flat per-mask lists, built one top player at a time (the masks in
+``[2^t, 2^(t+1))`` are the masks below ``2^t`` plus player t), and its
+shared term, if any, is taken once per visit, its members listed then.
 
-A single core or strict-core verdict scans on a table of its own and keeps
-no member memo: it extends the sum lists only as far as it scans,
-evaluates each member at most once and skips the partition's own blocks
-(``_single_blocking_coalition``).  The stable-set search shares one table
-between Bell(m) partitions that revisit the same masks: it builds all 2^m
-sums up front and memoises member errors in per-player dicts keyed by mask
-(``_blocking_coalition``).  It asks the regression floors on every memo
-miss, and memoises a floor that is the error as the error.  It leaves the
-float fine-optimal floor out: that floor lies just below the error, and
-across those partitions nearly every such error comes to be needed.  A
-one-player mask (a partition's one-player block, or a player's stay-alone
-check) skips the member list, sums and block dict of
-``_ErrorTable.filled``: its error is one call of the closed form with
-N = n_j (``_ErrorTable.alone``).
+The stable-set search fills one dense table once: ``errs[j][mask]``, every
+member error of every mask below 2^m, m*2^(m-1) calls of the closed form
+with each mask's sums and shared term taken once (``_ErrorTable.dense``).
+Under exact fine-optimal federation the table is filled from the scheme's
+``Formula.floor``, which is the error there (``Formula.floor_is_error``).
+Each of the Bell(m) partitions is then scanned by lookups only: a blocking
+scan (``_blocking_coalition``) or an individual-deviation scan
+(``_individual_move``), current errors looked up too.
+
+A single verdict computes only the member errors it asks about, on a table
+of its own: a candidate coalition is settled by its first member who does
+not gain, and the members after that one are never evaluated.  A core or
+strict-core verdict (``_single_blocking_coalition``) extends the sum lists
+only as far as it scans and skips the partition's own blocks.  Under a
+scheme with a ``Formula.floor`` (regression uniform and coarse, whose
+shared term is the global variance, and fine-optimal, whose shared term is
+the member list) it asks the member's floor first: a lower bound on the
+error that costs O(1), given the sum of the scheme's addends over the
+mask's other members, read from a third flat list.  A member is settled as
+not gaining when ``floor >= lower[j]`` and, for the strict core, also
+``floor > upper[j]``; only a member it does not settle costs the shared
+term and a call of the closed form, and a floor that is the error is taken
+as the error.  A one-player block, or a player's stay-alone check
+(``_individual_deviation``), is one call of the closed form with N = n_j.
 
 The scans work on a partition as its tuple of block bitmasks: the public
 verdicts read their ``Partition``'s ``masks``, and the stable-set search
@@ -169,33 +164,20 @@ class StabilityVerdict(Record):
 
 
 class _ErrorTable:
-    """Member errors keyed by player and coalition bitmask, computed per
-    member on demand, and the sample sums of every mask below ``2^t``.
+    """A scheme resolved once for a search or a verdict, and the sample sums
+    of every mask below ``2^t``.
 
-    The scheme is resolved once, in ``__init__``, to the ``errors.Formula``
-    ``(error, shared, floor, addends, floor_is_error)``.  ``memo[j]`` maps a
-    mask to player j's error in its coalition.  ``totals[mask]`` and
-    ``squares[mask]`` are the mask's sample sums N and Q, and
+    ``__init__`` resolves the scheme to the ``errors.Formula``
+    ``(error, shared, floor, addends, floor_is_error)``.  ``totals[mask]``
+    and ``squares[mask]`` are the mask's sample sums N and Q, and
     ``rests[mask]`` the sum of the scheme's addends over its members in
     ascending order from 0 (under fine-optimal federation the sum of 1/V_i
     that ``error`` takes), which a member's floor reads at the mask without
-    them; without addends ``rests`` is ``totals``.  No list holds a mask's members: a scan lists
-    them (``_mask_members``) when it takes the shared term.  The lists
-    start at mask 0 and grow one top player at a time (``extend``): the
-    masks in ``[2^t, 2^(t+1))`` are the masks below ``2^t`` plus player t,
-    one list comprehension each.  A mask beyond them takes its sums from
-    its members (``coalition``).  The shared term is taken at most once per
-    visit to a mask, when a member asked about is missing.
-
-    The stable-set search extends the lists over all 2^m masks up front and
-    runs ``_blocking_coalition`` on each partition, reading and filling
-    ``memo`` inline, without a method call per coalition or member.  A
-    single core or strict-core verdict runs ``_single_blocking_coalition``
-    instead: it extends the lists only as far as it scans and keeps no
-    member memo.  ``filled`` keeps each partition block of two or more
-    players' whole error dict, which every later partition with that block
-    reads again.  A one-player mask skips ``filled``: ``alone`` reads or
-    makes its one memo entry.
+    them; without addends ``rests`` is ``totals``.  The lists start at mask 0
+    and grow one top player at a time (``extend``): the masks in
+    ``[2^t, 2^(t+1))`` are the masks below ``2^t`` plus player t, one list
+    comprehension each.  No list holds a mask's members: they are listed
+    (``_mask_members``) when the shared term is taken.
     """
 
     def __init__(
@@ -217,8 +199,6 @@ class _ErrorTable:
         self.squares: list[int] = [0]
         # without addends, a floor's ``rest`` sums the sample counts
         self.rests: list[Number] = self.totals if self.addends is None else [0]
-        self.memo: list[dict[int, Number]] = [{} for _ in config.players]
-        self._blocks: dict[int, dict[int, Number]] = {}
 
     def extend(self, top: int) -> None:
         """Give the sum lists every mask below ``2^top``: per player t not
@@ -233,74 +213,55 @@ class _ErrorTable:
                 addend = addends[t]
                 rests += [rest + addend for rest in rests]
 
-    def coalition(
-        self, mask: int, members: Optional[list[int]] = None
-    ) -> tuple[int, int, Any]:
-        """The mask's sample sums N and Q and its shared term; ``members``,
-        when given, are the mask's members in ascending order."""
-        if mask < len(self.totals):
-            total, square = self.totals[mask], self.squares[mask]
-        else:
-            if members is None:
-                members = _mask_members(mask)
-            total, square = _sample_sums(members, self.ns)
-        if self.shared is None:
-            return total, square, None
-        if members is None:
+    def dense(self) -> list[list[Any]]:
+        """Every member error of every mask below ``2^m``: ``errs[j][mask]``
+        is player j's error in the coalition ``mask``, None where j is not a
+        member.  Each mask's members are listed, and its sums and shared term
+        taken, once.  A floor that is the error (exact fine-optimal,
+        ``Formula.floor_is_error``) fills the table, and ``error`` is not
+        called."""
+        m = len(self.ns)
+        self.extend(m)
+        totals, squares, rests = self.totals, self.squares, self.rests
+        errs: list[list[Any]] = [[None] * (1 << m) for _ in range(m)]
+        error, shared, floor = self.error, self.shared, self.floor
+        by_floor = floor is not None and self.floor_is_error
+        for mask in range(1, 1 << m):
             members = _mask_members(mask)
-        return total, square, self.shared(members, total)
+            total, square = totals[mask], squares[mask]
+            if by_floor:
+                for j in members:
+                    errs[j][mask] = floor(j, total, square, rests[mask ^ (1 << j)])
+            else:
+                terms = None if shared is None else shared(members, total)
+                for j in members:
+                    errs[j][mask] = error(j, total, square, terms)
+        return errs
 
-    def filled(self, mask: int) -> dict[int, Number]:
-        """Every member's error in the mask's coalition, by player.  The
-        members are listed once, and the sums and shared term taken once,
-        when the first missing error is needed."""
-        values = self._blocks.get(mask)
-        if values is None:
-            members = _mask_members(mask)
-            total = None
-            values = {}
-            for j in members:
-                err = self.memo[j].get(mask)
-                if err is None:
-                    if total is None:
-                        total, square, terms = self.coalition(mask, members)
-                    err = self.memo[j][mask] = self.error(j, total, square, terms)
-                values[j] = err
-            self._blocks[mask] = values
-        return values
-
-    def alone(self, j: int) -> Number:
-        """Player j's error alone, in mask ``1 << j``: one call of ``error``
-        with N = n_j and Q = n_j^2, and the shared term of ``[j]`` only for a
-        scheme with one."""
-        bit = 1 << j
-        err = self.memo[j].get(bit)
-        if err is None:
-            n = self.ns[j]
-            terms = None if self.shared is None else self.shared([j], n)
-            err = self.memo[j][bit] = self.error(j, n, n * n, terms)
-        return err
+    def coalition(self, members: list[int]) -> tuple[int, int, Any]:
+        """The sample sums N and Q and the shared term of the coalition of
+        ``members``, listed in ascending order."""
+        total, square = _sample_sums(members, self.ns)
+        return total, square, None if self.shared is None else self.shared(members, total)
 
     def current_errors(self, masks: Sequence[int]) -> list[Number]:
         """Every player's error in its own coalition, indexed by player,
-        given the partition's block masks.  A one-player block is ``alone``
-        inline, without a method call per player: a verdict on m singletons
-        asks for m of them, and such verdicts hold the median rank of
-        single-verdict latencies."""
-        current: list[Number] = [0] * len(self.ns)
-        memo, ns, error, shared = self.memo, self.ns, self.error, self.shared
+        given the partition's block masks.  A one-player block is one call of
+        ``error`` with N = n_j, inline: a verdict on m singletons asks for m
+        of them, and such verdicts hold the median rank of single-verdict
+        latencies."""
+        ns, error, shared = self.ns, self.error, self.shared
+        current: list[Number] = [0] * len(ns)
         for mask in masks:
             if mask & (mask - 1):
-                for j, err in self.filled(mask).items():
-                    current[j] = err
+                members = _mask_members(mask)
+                total, square, terms = self.coalition(members)
+                for j in members:
+                    current[j] = error(j, total, square, terms)
             else:
                 j = mask.bit_length() - 1
-                err = memo[j].get(mask)
-                if err is None:
-                    n = ns[j]
-                    terms = None if shared is None else shared([j], n)
-                    err = memo[j][mask] = error(j, n, n * n, terms)
-                current[j] = err
+                n = ns[j]
+                current[j] = error(j, n, n * n, None if shared is None else shared([j], n))
         return current
 
 
@@ -319,64 +280,48 @@ def _check_partition(partition: Partition, config: GameConfig) -> None:
         )
 
 
+def _dense_bounds(
+    masks: Sequence[int], errs: list[list[Any]], prefs: PreferenceOrder
+) -> tuple[list[Number], list[Number]]:
+    """Every player's ``PreferenceOrder.bounds`` in the partition with block
+    masks ``masks``, their current errors read from the dense table."""
+    current: list[Number] = [0] * len(errs)
+    for mask in masks:
+        for j in _mask_members(mask):
+            current[j] = errs[j][mask]
+    return prefs.bounds(current)
+
+
 def _blocking_coalition(
-    masks: Sequence[int],
-    m: int,
-    table: _ErrorTable,
-    prefs: PreferenceOrder,
-    strict_notion: bool,
+    masks: Sequence[int], errs: list[list[Any]], prefs: PreferenceOrder, strict_notion: bool
 ) -> Optional[int]:
     """Mask of the first blocking coalition in ascending-bitmask order, if
-    any, against the partition with block masks ``masks``, reading and
-    filling the table's member memo.  The table's sum lists must cover all
-    2^m masks (``_ErrorTable.extend(m)``).
+    any, against the partition with block masks ``masks``: lookups in the
+    dense table ``errs`` (``_ErrorTable.dense``) only.
 
     strict_notion=False: every member strictly gains (core blocking).
     strict_notion=True: every member weakly gains, at least one strictly.
     Members are asked about in ascending order, and a mask is settled by its
-    first member who does not gain; later members' errors are not computed.
-    A strict gain is also a weak one (``PreferenceOrder.bounds``).  On a
-    memo miss, a scheme's ``floor`` may settle the member first: that member
-    is neither evaluated nor memoised, and the shared term is not taken.  A
-    floor that is the error (``Formula.floor_is_error``) is memoised as the
-    error instead, and the member is never evaluated.
+    first member who does not gain.  A strict gain is also a weak one
+    (``PreferenceOrder.bounds``).
     """
-    lower, upper = prefs.bounds(table.current_errors(masks))
-    error, shared, floor, memo = table.error, table.shared, table.floor, table.memo
-    totals, squares, rests = table.totals, table.squares, table.rests
-    floor_is_error = floor is not None and table.floor_is_error
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        rest = mask ^ low
-        terms = total = None
+    lower, upper = _dense_bounds(masks, errs, prefs)
+    for mask in range(1, 1 << len(errs)):
+        rest = mask
         strict = False
         while True:
-            err = memo[j].get(mask)
-            if err is None:
-                if floor_is_error:
-                    err = memo[j][mask] = floor(j, totals[mask], squares[mask], rests[mask ^ low])
-                else:
-                    if floor is not None:
-                        least = floor(j, totals[mask], squares[mask], rests[mask ^ low])
-                        if least >= lower[j] and not (strict_notion and least <= upper[j]):
-                            break
-                    if total is None:
-                        total = totals[mask]
-                        if shared is not None:
-                            terms = shared(_mask_members(mask), total)
-                    err = memo[j][mask] = error(j, total, squares[mask], terms)
+            low = rest & -rest
+            j = low.bit_length() - 1
+            err = errs[j][mask]
             if err < lower[j]:
                 strict = True
             elif not (strict_notion and err <= upper[j]):
                 break
+            rest ^= low
             if not rest:
                 if strict:
                     return mask
                 break
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
     return None
 
 
@@ -387,16 +332,17 @@ def _single_blocking_coalition(
     prefs: PreferenceOrder,
     strict_notion: bool,
 ) -> Optional[int]:
-    """``_blocking_coalition`` for one partition on a fresh table of its
-    own: the same mask, computed without a member memo.
+    """``_blocking_coalition`` for one partition, on a fresh table of its
+    own: the same mask, with member errors computed as the scan asks.
 
     The scan extends the table's sum lists one top player at a time, only
     as far as it scans, and evaluates each member at most once.  It skips
     the partition's own blocks: their members' errors are the current ones,
-    already filled for the bounds, so they cannot block.  ``memo`` ends up
-    holding those blocks' errors only.  A scheme's ``floor`` settles members
-    as in ``_blocking_coalition``, before the shared term is taken, and a
-    floor that is the error is taken as the error.
+    so they cannot block.  Under a scheme with a ``floor``, the member's
+    floor is asked first, before the shared term is taken: a member is
+    settled as not gaining when ``floor >= lower[j]`` and, for the strict
+    core, also ``floor > upper[j]``.  A floor that is the error is taken as
+    the error.
     """
     lower, upper = prefs.bounds(table.current_errors(masks))
     error, shared, floor, ns = table.error, table.shared, table.floor, table.ns
@@ -458,7 +404,7 @@ def _verdict_table(
     prefs: PreferenceOrder,
     what: str,
 ) -> _ErrorTable:
-    """Check a verdict's inputs, then give it an empty, lazily filled table."""
+    """Check a verdict's inputs, then give it a fresh table."""
     _check_partition(partition, config)
     _require_cap(partition.player_count, MAX_COALITION_PLAYERS, what)
     return _ErrorTable(config, scheme, prefs)
@@ -507,11 +453,12 @@ def _individual_deviation(
     prefs: PreferenceOrder,
     allow_singleton_deviation: bool,
 ) -> Optional[tuple[int, int]]:
-    """First deviation ``(mover, target mask)``, movers in index order.  In
-    each coalition a mover could join, the mover's error is computed first,
-    then each host's in ascending order until one host would lose."""
+    """First deviation ``(mover, target mask)``, movers in index order, on a
+    fresh table.  In each coalition a mover could join, the mover's error is
+    computed first, then each host's in ascending order until one host
+    would lose."""
     lower, upper = prefs.bounds(table.current_errors(masks))
-    error, coalition, memo = table.error, table.coalition, table.memo
+    error, shared, ns = table.error, table.shared, table.ns
     for i in range(m):
         bit = 1 << i
         own = bit
@@ -520,26 +467,45 @@ def _individual_deviation(
                 own = host_mask
                 continue
             joined = host_mask | bit
-            total = None
-            err = memo[i].get(joined)
-            if err is None:
-                total, square, terms = coalition(joined)
-                err = memo[i][joined] = error(i, total, square, terms)
-            if not err < lower[i]:
+            total, square, terms = table.coalition(_mask_members(joined))
+            if not error(i, total, square, terms) < lower[i]:
                 continue
             for j in _mask_members(host_mask):
-                err = memo[j].get(joined)
-                if err is None:
-                    if total is None:
-                        total, square, terms = coalition(joined)
-                    err = memo[j][joined] = error(j, total, square, terms)
-                if not err <= upper[j]:
+                if not error(j, total, square, terms) <= upper[j]:
                     break
             else:
                 return i, joined
         if allow_singleton_deviation and own != bit:
-            if table.alone(i) < lower[i]:
+            # player i alone, one call of the closed form with N = n_i
+            n = ns[i]
+            if error(i, n, n * n, None if shared is None else shared([i], n)) < lower[i]:
                 return i, bit
+    return None
+
+
+def _individual_move(
+    masks: Sequence[int], errs: list[list[Any]], prefs: PreferenceOrder
+) -> Optional[tuple[int, int]]:
+    """``_individual_deviation`` with singleton deviations allowed, by
+    lookups in the dense table ``errs`` (``_ErrorTable.dense``) only."""
+    lower, upper = _dense_bounds(masks, errs, prefs)
+    for i, mine in enumerate(errs):
+        bit = 1 << i
+        own = bit
+        for host_mask in masks:
+            if host_mask & bit:
+                own = host_mask
+                continue
+            joined = host_mask | bit
+            if not mine[joined] < lower[i]:
+                continue
+            for j in _mask_members(host_mask):
+                if not errs[j][joined] <= upper[j]:
+                    break
+            else:
+                return i, joined
+        if own != bit and mine[bit] < lower[i]:
+            return i, bit
     return None
 
 
@@ -578,25 +544,17 @@ def find_stable_partitions(
     _check_type("config", config, GameConfig)
     m = len(config.players)
     _require_cap(m, MAX_PARTITION_PLAYERS, "stable-partition search")
-    table = _ErrorTable(config, scheme, prefs)
-    if table.addends is not None and not table.floor_is_error:
-        # a float floor over addends (fine-optimal) lies just below the
-        # error, so it settles a member nearly where the error would, and
-        # Bell(m) partitions come to need nearly every such error: asked on
-        # each memo miss it would only add calls
-        table.floor = None
-    # Bell(m) partitions revisit the same masks: every mask's sums up front
-    table.extend(m)
+    # Bell(m) partitions revisit the same masks: every member error up front
+    errs = _ErrorTable(config, scheme, prefs).dense()
     if notion == "individual":
         stable = (
-            masks for masks in _partition_masks(m)
-            if _individual_deviation(masks, m, table, prefs, True) is None
+            masks for masks in _partition_masks(m) if _individual_move(masks, errs, prefs) is None
         )
     else:
         strict_notion = notion == "strict"
         stable = (
             masks for masks in _partition_masks(m)
-            if _blocking_coalition(masks, m, table, prefs, strict_notion) is None
+            if _blocking_coalition(masks, errs, prefs, strict_notion) is None
         )
     return [Partition._trusted(masks, m) for masks in stable]
 

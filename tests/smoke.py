@@ -5,7 +5,8 @@ repr both must print; ``check_*`` assert how a record behaves, and
 ``tests/test_records.py`` runs the same checks under pytest.
 ``check_verdicts`` asks known verdicts, in float and exact mode: full scans
 of an optimal grand coalition and of linear-regression singletons under
-uniform and coarse federation among them.  ``check_two_size`` asks
+uniform and coarse federation among them, and the stable-set search on the
+paper's three anchor populations.  ``check_two_size`` asks
 the paper's two-size counterexample, as ``fedgame reproduce --all`` prints
 it, in float and exact mode.
 ``check_start_up`` runs each closed-form command in a fresh interpreter and
@@ -51,6 +52,7 @@ from fedgame import (
     TwoSizeDeviation,
     TwoSizeGame,
     Uniform,
+    find_stable_partitions,
     is_core_stable,
     is_individually_stable,
     is_strict_core_stable,
@@ -248,9 +250,20 @@ def check_round_trips(by_keyword, by_position, text: str) -> None:
 
 RECORD_CHECKS = (check_construction, check_class_only_equality, check_frozen, check_round_trips)
 
+# the paper's anchor populations at mu_e=10, sigma_sq=1, and the one
+# partition that is core stable under uniform federation in each
+ANCHORS = (
+    ((5, 5, 5), Partition.grand(3)),
+    ((5, 5, 25), Partition.from_blocks([[0, 1], [2]])),
+    ((25, 25, 25), Partition.singletons(3)),
+)
+
+
 def check_verdicts() -> None:
     """The singletons of (5, 5, 25) are blocked by {a,b}, and the (5, 5, 5)
-    grand coalition is core and individually stable, in both modes.  Below
+    grand coalition is core and individually stable, in both modes.  The
+    stable-set search finds each anchor's one core-stable partition under
+    uniform federation, in both modes.  Below
     the threshold, the optimal grand coalition of eight players is core and
     strict-core stable: a full scan of its 255 coalitions, where the floor
     settles most coalitions under fine-optimal federation and none has one
@@ -277,6 +290,9 @@ def check_verdicts() -> None:
             for verdict_of in (is_core_stable, is_strict_core_stable):
                 verdict = verdict_of(Partition.singletons(8), scheme, large, prefs)
                 assert (verdict.stable, verdict.witness) == (True, None), verdict
+        for players, stable in ANCHORS:
+            found = find_stable_partitions(GameConfig(players, 10, 1), Uniform(), "core", prefs)
+            assert found == [stable], (players, found, prefs)
 
 
 # the counterexample's quantities and values, as ``reproduce --all`` prints them
@@ -362,7 +378,7 @@ if __name__ == "__main__":
             check(*case)
     print(f"records ok: {len(RECORDS)} records, {len(RECORD_CHECKS)} checks each")
     check_verdicts()
-    print("verdicts ok: core, strict core and individual, float and exact")
+    print("verdicts ok: core, strict core and individual, anchor stable sets, float and exact")
     check_two_size()
     print("two-size ok: counterexample values, construction and witness, float and exact")
     check_start_up()

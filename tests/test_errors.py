@@ -24,6 +24,7 @@ from fedgame import (
     enumerate_coalitions,
     enumerate_partitions,
     exact_config,
+    exact_scheme,
     mse_coarse,
     mse_fine,
     mse_local,
@@ -447,10 +448,9 @@ def test_linreg_global_variance_survives_a_numerator_overflow(scheme):
         (GameConfig((6, 200), 1e308, 1, LinRegSpec(4, 1)), Coarse({0: 0.9, 1: 1}), (0,)),
         (GameConfig((6, 200), 1e308, 1, LinRegSpec(4, 1)), Coarse({0: 0.9, 1: 1}), (0, 1)),
         (GameConfig((6, 200), 1e308, 1, LinRegSpec(4, 1)), Local(), (0,)),
-        # sigma_sq*B_j overflows
-        (GameConfig((5, 5), 1, 1e308), Uniform(), (0, 1)),
-        # ... and times (1-w)**2 = 0 it is NaN, not infinite
-        (GameConfig((5, 5), 1, 1e308), Coarse({0: 1, 1: 1}), (0, 1)),
+        # sigma_sq*B_j/N^2 overflows, B_j/N^2 = 20000/10201 for player 0
+        (GameConfig((1, 100), 1, 1e308), Uniform(), (0, 1)),
+        (GameConfig((1, 100), 1, 1e308), Coarse({0: 0, 1: 0}), (0, 1)),
         # V_i = sigma_sq + mu_e/n_i overflows, and the optimal row is NaN
         (GameConfig((1, 1), 1e308, 1e308), FineOptimal(), (0, 1)),
         # mu_e times a squared row weight overflows
@@ -468,6 +468,42 @@ def test_a_float_member_error_that_overflows_is_refused(config, scheme, coalitio
         player_errors(partition, scheme, config)
 
 
+BIG_BIAS = GameConfig((3, 3000), 1.0, 1e306)
+BIG_LINREG_BIAS = GameConfig((3, 3000), 1.0, 1e306, LinRegSpec(1, 1e306))
+
+
+@pytest.mark.parametrize(
+    "config, scheme",
+    [
+        # sigma_sq*B_j overflows a float, sigma_sq*B_j/N^2 does not
+        (BIG_BIAS, Uniform()),
+        (BIG_BIAS, Coarse({0: 0.5, 1: 0.5})),
+        (BIG_LINREG_BIAS, Uniform()),
+        (BIG_LINREG_BIAS, Coarse({0: 0.5, 1: 0.5})),
+        (GameConfig((5, 5), 1, 1e308), Uniform()),
+        # ... and times (1-w)**2 = 0 it is NaN: the bias part is 0
+        (GameConfig((5, 5), 1, 1e308), Coarse({0: 1, 1: 1})),
+        # B_j itself is too large for a float
+        (GameConfig((10**200, 3 * 10**200), 1.0, 1.0), Uniform()),
+        (GameConfig((10**200, 3 * 10**200), 1.0, 1.0), Coarse({0: 0.5, 1: 0.25})),
+    ],
+)
+def test_a_bias_part_whose_product_overflows_is_evaluated_again(config, scheme):
+    # The bias part is evaluated as sigma_sq*B_j*(1-w)^2/N^2; where that is
+    # not finite, or B_j (or an exact coefficient times it) is too large
+    # for a float, it is evaluated again with the coefficient applied last.
+    # A float config, and an exact config with the scheme's float weights,
+    # give the exact errors within a few units in the last place.
+    exact = coalition_errors([0, 1], exact_scheme(scheme), exact_config(config))
+    for errs in (
+        coalition_errors([0, 1], scheme, config),
+        coalition_errors([0, 1], scheme, exact_config(config)),
+    ):
+        for j in (0, 1):
+            expected = float(exact[j])
+            assert abs(errs[j] - expected) <= 4 * math.ulp(expected), (j, errs[j], expected)
+
+
 def test_an_exact_error_beyond_the_float_range_is_reported():
     # finite exact errors beyond the float range: a's local error is
     # mu_e*d/(n-d-1) = 4e308, and float() of it overflows
@@ -480,7 +516,10 @@ def test_an_exact_error_beyond_the_float_range_is_reported():
 def test_a_two_size_profile_error_that_overflows_is_refused():
     game = TwoSizeGame(n_s=5, n_l=20, S=2, L=1)
     with pytest.raises(ValidationError, match="overflow"):
-        two_size_errors(game, 2, 1, 1, 1e308, Uniform())
+        two_size_errors(game, 2, 1, 1, 1.7e308, Uniform())
+    # sigma_sq*B_j overflows at 1e308, but sigma_sq*B_j/N^2 does not
+    exact = two_size_errors(game, 2, 1, Fraction(1), Fraction(1e308), Uniform())
+    assert two_size_errors(game, 2, 1, 1, 1e308, Uniform()) == tuple(map(float, exact))
     # below the overflow, every value keeps its bits
     assert two_size_errors(game, 2, 1, 1, 1e300, Uniform()) == (
         1 / 30 + 1e300 * (25 + 400 + 25**2) / 900,

@@ -226,6 +226,26 @@ def test_a_float_verdict_on_overflowing_errors_is_refused(notion, witness):
     assert (exact.stable, exact.witness) == (witness is None, witness)
 
 
+@pytest.mark.parametrize("scheme", [Uniform(), Coarse({0: 0.5, 1: 0.5})], ids=["uniform", "coarse"])
+@pytest.mark.parametrize("linreg", [None, LinRegSpec(1, 1e306)], ids=["mean", "regression"])
+def test_verdicts_whose_bias_product_overflows_agree_in_both_modes(scheme, linreg):
+    # sigma_sq*B_j overflows a float in {a,b}, though a's error there is
+    # about 2e306 (5e305 coarse), against 1/3 (1) alone: every verdict on
+    # the singletons is stable, and they are the one core-stable partition,
+    # in both modes.
+    config = GameConfig((3, 3000), 1.0, 1e306, linreg)
+    answers = []
+    for prefs in (PreferenceOrder(), PreferenceOrder(exact=True)):
+        verdicts = [verdict(Partition.singletons(2), scheme, config, prefs) for verdict in VERDICTS]
+        answers.append(
+            (
+                [(verdict.stable, verdict.witness) for verdict in verdicts],
+                find_stable_partitions(config, scheme, "core", prefs),
+            )
+        )
+    assert answers[0] == answers[1] == ([(True, None)] * 3, [Partition.singletons(2)])
+
+
 def test_non_finite_config_refused_before_any_verdict():
     # No verdict or search can be asked about these games: their configs
     # are refused when built.
@@ -354,11 +374,10 @@ REGRESSION = GameConfig((101, 113, 127, 139, 151, 167, 181, 197), 20, 0.625, Lin
 def test_a_stable_regression_scan_takes_the_global_variance_only_where_the_floor_does_not_settle(
     monkeypatch, scheme, strict_notion, exact
 ):
-    # A scan asks each mask's lowest member first.  The shared term is taken
-    # for a mask exactly when that member's floor does not settle them: in
-    # the partition's own blocks (the bounds) and in 3 (uniform) or 30
-    # (coarse) of the other 247 masks, in the single verdict's scan and in
-    # the memoised one.
+    # A single verdict's scan asks each mask's lowest member first.  The
+    # shared term is taken for a mask exactly when that member's floor does
+    # not settle them: in the partition's own blocks (the bounds) and in 3
+    # (uniform) or 30 (coarse) of the other 247 masks.
     m = len(REGRESSION.players)
     prefs = PreferenceOrder(exact=exact)
     config, layer_scheme = REGRESSION, scheme
@@ -386,11 +405,6 @@ def test_a_stable_regression_scan_takes_the_global_variance_only_where_the_floor
     )
     assert (verdict.stable, verdict.witness) == (True, None)
     assert sorted(seam.built) == sorted(own + unsettled)
-    seam = _formula_seam(monkeypatch)
-    table = stability._ErrorTable(REGRESSION, scheme, prefs)
-    table.extend(m)
-    assert stability._blocking_coalition(partition.masks, m, table, prefs, strict_notion) is None
-    assert sorted(seam.built) == sorted(own + unsettled)
 
 
 @pytest.mark.parametrize("strict_notion", [False, True])
@@ -417,15 +431,12 @@ def test_a_member_whose_floor_is_just_inside_its_bound_is_evaluated(monkeypatch,
         assert 0.999 * lower[0] < least < lower[0]
     found = []
     for formula in (scheme_formula, lambda *args: scheme_formula(*args)._replace(floor=None)):
+        # the single verdict's scan: the stable-set search asks no floor
         monkeypatch.setattr(stability, "scheme_formula", formula)
-        for scan in (stability._single_blocking_coalition, stability._blocking_coalition):
-            table = stability._ErrorTable(config, Uniform(), prefs)
-            table.extend(2)
-            # each player's own block, memoised as the bounds would leave it
-            table.memo = [{1: current[0]}, {2: current[1]}]
-            table.current_errors = lambda masks: current
-            found.append(scan((1, 2), 2, table, prefs, strict_notion))
-    assert found == [3, 3, 3, 3]
+        table = stability._ErrorTable(config, Uniform(), prefs)
+        table.current_errors = lambda masks: current
+        found.append(stability._single_blocking_coalition((1, 2), 2, table, prefs, strict_notion))
+    assert found == [3, 3]
 
 
 # ten players below the threshold mu_e/sigma_sq = 100: the fine-optimal
@@ -443,9 +454,7 @@ def test_a_stable_fine_optimal_grand_scan_evaluates_only_where_the_floor_does_no
     # in float mode, for exactly the masks whose lowest member the floor
     # does not settle: none here, for a member's fine-optimal error falls
     # with each member added.  In exact mode the floor is the error, and
-    # the scan takes it as one.  The memoised scan of the stable-set search
-    # memoises the exact floor as the error, and evaluates only the grand
-    # coalition too; it has no float floor (``find_stable_partitions``).
+    # the scan takes it as one.
     m = len(FINE_GRAND.players)
     prefs = PreferenceOrder(exact=exact)
     config = exact_config(FINE_GRAND) if exact else FINE_GRAND
@@ -472,19 +481,13 @@ def test_a_stable_fine_optimal_grand_scan_evaluates_only_where_the_floor_does_no
     )
     assert (verdict.stable, verdict.witness) == (True, None)
     assert sorted(seam.built) == sorted(seam.evaluated) == [grand, *unsettled]
-    if exact:
-        seam = _formula_seam(monkeypatch)
-        table = stability._ErrorTable(FINE_GRAND, FineOptimal(), prefs)
-        table.extend(m)
-        assert stability._blocking_coalition(partition.masks, m, table, prefs, strict_notion) is None
-        assert sorted(seam.built) == sorted(seam.evaluated) == [grand]
 
 
 @pytest.mark.parametrize("strict_notion", [False, True])
 def test_an_exact_fine_optimal_scan_takes_the_floor_as_the_error(monkeypatch, strict_notion):
-    # In exact mode the fine-optimal floor is the error, so neither scan
-    # evaluates a member outside the partition's own blocks, not even the
-    # members of the witness {a,b} who gain.
+    # In exact mode the fine-optimal floor is the error, so a single
+    # verdict's scan evaluates no member outside the partition's own blocks,
+    # not even the members of the witness {a,b} who gain.
     config = GameConfig((5, 5, 25), 10, 1)
     prefs = PreferenceOrder(exact=True)
     partition = Partition.singletons(3)
@@ -494,12 +497,6 @@ def test_an_exact_fine_optimal_scan_takes_the_floor_as_the_error(monkeypatch, st
     )
     assert (verdict.stable, verdict.witness) == (False, Coalition((0, 1)))
     assert sorted(seam.evaluated) == [1, 2, 4]
-    seam = _formula_seam(monkeypatch)
-    table = stability._ErrorTable(config, FineOptimal(), prefs)
-    table.extend(3)
-    assert stability._blocking_coalition(partition.masks, 3, table, prefs, strict_notion) == 3
-    assert sorted(seam.evaluated) == [1, 2, 4]
-    assert table.memo[0][3] == coalition_errors([0, 1], FineOptimal(), exact_config(config))[0]
 
 
 @pytest.mark.parametrize("strict_notion", [False, True])
@@ -536,26 +533,35 @@ def test_a_fine_optimal_member_whose_floor_is_just_inside_its_bound_is_evaluated
     assert found == [3, 3]
 
 
+@pytest.mark.parametrize("notion", ["core", "strict", "individual"])
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize(
-    "config, scheme, float_floor_asked",
+    "config, scheme",
     [
-        (GameConfig(REGRESSION.players[:5], 20, 0.625, LinRegSpec(2, 0.625)), Uniform(), True),
-        (GameConfig((2, 3, 5, 8, 13), 10, 1), FineOptimal(), False),
+        (GameConfig(REGRESSION.players[:5], 20, 0.625, LinRegSpec(2, 0.625)), Uniform()),
+        (GameConfig((2, 3, 5, 8, 13), 10, 1), FineOptimal()),
+        (GameConfig((2, 3, 5, 8, 13), 10, 1), CoarseOptimal()),
     ],
-    ids=["regression-uniform", "fine-optimal"],
+    ids=["regression-uniform", "fine-optimal", "coarse-optimal"],
 )
-def test_the_stable_set_search_asks_every_floor_but_the_float_fine_optimal_one(
-    monkeypatch, config, scheme, float_floor_asked, exact
+def test_the_stable_set_search_evaluates_every_member_of_every_mask_once(
+    monkeypatch, config, scheme, exact, notion
 ):
-    # The search asks a regression floor on its memo misses, and takes the
-    # exact fine-optimal floor as the error.  The float fine-optimal floor
-    # lies just below the error, whose value nearly every partition comes to
-    # need, so the search leaves it out.
+    # The search fills its dense table once: ``error`` is called for each
+    # of the m*2^(m-1) members of the 2^m - 1 masks, once, and each mask's
+    # shared term is taken once.  No floor is asked, but under exact
+    # fine-optimal federation, where the floor is the error
+    # (``Formula.floor_is_error``): there the floor fills the table, and
+    # ``error`` is never called.
+    m = len(config.players)
+    seam = _formula_seam(monkeypatch)
     asked = []
+    resolve = stability.scheme_formula
 
-    def resolve(scheme, cfg):
-        formula = scheme_formula(scheme, cfg)
+    def counting_floors(scheme, cfg):
+        formula = resolve(scheme, cfg)
+        if formula.floor is None:
+            return formula
 
         def floor(*args):
             asked.append(args)
@@ -563,12 +569,19 @@ def test_the_stable_set_search_asks_every_floor_but_the_float_fine_optimal_one(
 
         return formula._replace(floor=floor)
 
-    monkeypatch.setattr(stability, "scheme_formula", resolve)
+    monkeypatch.setattr(stability, "scheme_formula", counting_floors)
     prefs = PreferenceOrder(exact=exact)
-    found = find_stable_partitions(config, scheme, "strict", prefs)
-    assert bool(asked) == (exact or float_floor_asked)
+    found = find_stable_partitions(config, scheme, notion, prefs)
+    assert seam.resolved == 1
+    members = m << (m - 1)
+    if exact and isinstance(scheme, FineOptimal):
+        assert (seam.evaluated, seam.built, len(asked)) == ({}, [], members)
+    else:
+        assert sorted(seam.built) == list(range(1, 1 << m)) and asked == []
+        assert seam.evaluated == {mask: bin(mask).count("1") for mask in range(1, 1 << m)}
+        assert sum(seam.evaluated.values()) == members
     monkeypatch.setattr(stability, "scheme_formula", scheme_formula)
-    assert find_stable_partitions(config, scheme, "strict", prefs) == found
+    assert find_stable_partitions(config, scheme, notion, prefs) == found
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ from fedgame.stability import (
     PreferenceOrder,
     _ErrorTable,
     _blocking_coalition,
+    _individual_move,
     _single_blocking_coalition,
 )
 from test_config_properties import MAX_COUNT, PROPERTY_SETTINGS, build, config_arguments
@@ -208,18 +209,25 @@ def _typed(errors):
 
 @PROPERTY_SETTINGS
 @given(tables(), st.randoms(use_true_random=False))
-def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
-    # ``filled`` takes each mask's sums and shared term from its members, in
-    # ascending or shuffled order, on a fresh table; from the flat sum
-    # lists, on a table extended over all masks and scanned as the
-    # stable-set search scans it; and from either, on a table a single
-    # verdict's scan extended as far as it reached.  ``current_errors``
-    # takes a one-player block's error from one call of ``error``: against
-    # a random partition, on a fresh table, after a scan and after every
-    # mask is filled, it equals ``player_errors``.
+def test_the_dense_table_equals_the_error_layer(table_game, rng):
+    # The stable-set search's table holds every member's error in every
+    # mask, value and type, as ``coalition_errors`` gives it, and None for
+    # every player outside the mask; under exact fine-optimal federation
+    # it is filled from the floor, which is the error there.  A single
+    # verdict's ``current_errors`` takes each block's sums and shared term
+    # from its members, and a one-player block's error from one call of
+    # ``error``: against a random partition, on a fresh table and after a
+    # scan, it equals ``player_errors``.
     config, scheme, prefs = table_game
     errors_of = _error_layer(config, scheme, prefs)
     m = len(config.players)
+    errs = _ErrorTable(config, scheme, prefs).dense()
+    assert len(errs) == m and all(len(row) == 1 << m for row in errs)
+    for mask in range(1, 1 << m):
+        expected = errors_of(Coalition.from_mask(mask))
+        found = {j: errs[j][mask] for j in range(m) if errs[j][mask] is not None}
+        assert _typed(found) == _typed(expected), mask
+    assert all(row[0] is None for row in errs)
     labels = [rng.randrange(m) for _ in range(m)]
     partition = Partition.from_blocks(
         [[j for j in range(m) if labels[j] == b] for b in sorted(set(labels))]
@@ -228,26 +236,10 @@ def test_the_error_table_equals_the_error_layer_in_any_order(table_game, rng):
         (exact_config(config), exact_scheme(scheme)) if prefs.exact else (config, scheme)
     )
     current = _typed(player_errors(partition, layer_scheme, layer_config).values)
-    ascending = range(1, 1 << m)
-    shuffled = list(ascending)
-    rng.shuffle(shuffled)
-    for order, scanned, scan in (
-        (ascending, None, None),
-        (shuffled, None, None),
-        (ascending, ((1 << m) - 1,), _blocking_coalition),
-        (ascending, partition.masks, _blocking_coalition),
-        (shuffled, partition.masks, _single_blocking_coalition),
-    ):
-        table = _ErrorTable(config, scheme, prefs)
-        if scan is _blocking_coalition:
-            table.extend(m)
-        if scan is not None:
-            scan(scanned, m, table, prefs, strict_notion=True)
-        assert _typed(dict(enumerate(table.current_errors(partition.masks)))) == current
-        for mask in order:
-            expected = errors_of(Coalition.from_mask(mask))
-            assert _typed(table.filled(mask)) == _typed(expected), mask
-        assert _typed(dict(enumerate(table.current_errors(partition.masks)))) == current
+    table = _ErrorTable(config, scheme, prefs)
+    assert _typed(dict(enumerate(table.current_errors(partition.masks)))) == current
+    _single_blocking_coalition(partition.masks, m, table, prefs, strict_notion=True)
+    assert _typed(dict(enumerate(table.current_errors(partition.masks)))) == current
 
 
 @PROPERTY_SETTINGS
@@ -320,27 +312,31 @@ def scanned_games(draw):
 
 
 @PROPERTY_SETTINGS
-@given(scanned_games(), st.booleans())
-def test_a_single_verdict_finds_what_the_memoised_scan_finds(game, strict_notion):
-    # The memo-free scan of a single verdict and the memoised scan of the
-    # stable-set search, each on a fresh table, return the same mask, value
-    # and type; the single scan leaves in the member memo each player's
-    # error in their own block and nothing else.
+@given(scanned_games(), st.sampled_from(NOTIONS))
+def test_a_single_verdict_finds_what_the_dense_scan_finds(game, notion):
+    # A single verdict, whose scan computes the member errors it asks about
+    # on a fresh table, and the stable-set search's scan of the same
+    # partition against its dense table give the same witness: the same
+    # mask, value and type, or the same deviation.
     config, scheme, partition, prefs = game
-    m = len(config.players)
-    memoised = _ErrorTable(config, scheme, prefs)
-    memoised.extend(m)
-    expected = _blocking_coalition(partition.masks, m, memoised, prefs, strict_notion)
-    table = _ErrorTable(config, scheme, prefs)
-    found = _single_blocking_coalition(partition.masks, m, table, prefs, strict_notion)
-    assert (type(found), found) == (type(expected), expected)
-    assert [set(memo) for memo in table.memo] == [
-        {partition.coalition_of(j).mask} for j in range(m)
-    ]
-    verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
-        partition, scheme, config, prefs
-    )
-    witness = None if expected is None else Coalition.from_mask(expected)
+    errs = _ErrorTable(config, scheme, prefs).dense()
+    if notion == "individual":
+        expected = _individual_move(partition.masks, errs, prefs)
+        witness = None
+        if expected is not None:
+            witness = Deviation(expected[0], Coalition.from_mask(expected[1]))
+        verdict = is_individually_stable(partition, scheme, config, prefs)
+    else:
+        strict_notion = notion == "strict"
+        expected = _blocking_coalition(partition.masks, errs, prefs, strict_notion)
+        m = len(config.players)
+        table = _ErrorTable(config, scheme, prefs)
+        found = _single_blocking_coalition(partition.masks, m, table, prefs, strict_notion)
+        assert (type(found), found) == (type(expected), expected)
+        witness = None if expected is None else Coalition.from_mask(expected)
+        verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
+            partition, scheme, config, prefs
+        )
     assert (verdict.stable, verdict.witness) == (expected is None, witness)
 
 
@@ -609,10 +605,11 @@ def test_the_floor_filter_changes_no_verdict_witness_or_stable_set(game, strict_
 @PROPERTY_SETTINGS
 @given(regression_games(), st.booleans(), st.data())
 def test_the_filtered_scans_find_what_the_full_scans_find_at_the_floor(game, strict_notion, data):
-    # Both scans, against current errors drawn where the settle rule is
-    # decided.  A target coalition is drawn; each of its members' current
-    # error is their floor or their error in it, times 1, 1.01 or 1.5 and,
-    # in float mode, 1 -/+ 1e-9 or one last-bit step down or up.  A member
+    # A single verdict's scan, against current errors drawn where the
+    # settle rule is decided.  A target coalition is drawn; each of its
+    # members' current error is their floor or their error in it, times 1,
+    # 1.01 or 1.5 and, in float mode, 1 -/+ 1e-9 or one last-bit step down
+    # or up.  A member
     # whose floor is at or just past their bound is settled; one just
     # short of it is evaluated.  Every other player's current error is 0,
     # so only the target's subsets can block.
@@ -640,21 +637,14 @@ def test_the_filtered_scans_find_what_the_full_scans_find_at_the_floor(game, str
         current[j] = data.draw(st.sampled_from(near))
     masks = Partition.singletons(m).masks
 
-    def scans():
-        found = []
-        for scan in (_single_blocking_coalition, _blocking_coalition):
-            table = _ErrorTable(config, scheme, prefs)
-            table.extend(m)
-            # each player's own block, memoised as the bounds would leave it
-            # (the single verdict's scan skips it instead)
-            table.memo = [{1 << j: err} for j, err in enumerate(current)]
-            table.current_errors = lambda masks: current
-            found.append(scan(masks, m, table, prefs, strict_notion))
-        return found
+    def scan():
+        table = _ErrorTable(config, scheme, prefs)
+        table.current_errors = lambda masks: current
+        return _single_blocking_coalition(masks, m, table, prefs, strict_notion)
 
-    filtered = scans()
+    filtered = scan()
     with _unfiltered():
-        assert scans() == filtered
+        assert scan() == filtered
 
 
 def _fine_optimal_tables():

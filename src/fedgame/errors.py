@@ -20,16 +20,19 @@ member's closed form given the coalition's sample sums N and Q, and
 is None for the schemes whose member error needs only (n_j, N, Q): local,
 mean uniform, coarse-optimal and mean coarse; the fine-grained schemes share
 the member list and regression uniform and coarse the global variance.
-Regression uniform and coarse and fine-optimal also give
-``floor(j, N, Q, rest)``, a lower bound on the error that needs no shared
-term and costs O(1), which a stability scan compares first; ``rest`` sums
-the scheme's per-player ``addends`` (fine-optimal: 1/V_i) over the other
-members, or their sample counts.  The regression floor is the bias part,
-which ``error`` adds last to a non-negative variance part.  The fine-optimal
-floor is the error's closed form a_j*(1 + b*S)/(1 + V_j*S): in exact mode
-the error itself, which ``Formula.floor_is_error`` says so a scan can take
-it as the error, in float mode reduced by a relative bound on the rounding
-of both ways of computing it, derived in the ``Formula`` docstring.
+``alone`` lists each player's error alone, their local error, so a caller
+reads it without calling ``error``.  Regression uniform and coarse and
+fine-optimal also have a floor, ``floor(j, N, Q, rest)``, which
+``make_floor()`` builds for a stability scan that asks: a lower bound on the
+error that needs no shared term and costs O(1), which the scan compares
+first; ``rest`` sums the scheme's per-player ``addends``
+(fine-optimal: 1/V_i) over the other members, or their sample counts.  The
+regression floor is the bias part, which ``error`` adds last to a
+non-negative variance part.  The fine-optimal floor is the error's closed
+form a_j*(1 + b*S)/(1 + V_j*S): in exact mode the error itself, which
+``Formula.floor_is_error`` says so a scan can take it as the error, in
+float mode reduced by a relative bound on the rounding of both ways of
+computing it, derived in the ``Formula`` docstring.
 ``member_formula`` checks one coalition, takes its sums and shared term and
 binds them to ``error``; ``coalition_errors`` (every member),
 ``coalition_member_mse`` (one member) and the per-scheme functions go
@@ -44,8 +47,9 @@ A float error that overflows is refused with ``ValidationError``; every
 finite result keeps its bits.  Where a product overflows though the error
 does not, only then is the form evaluated again in another grouping: the
 optimal-coarse form with mu_e divided out, the regression global variance
-with mu_e factored out, and the uniform and coarse bias parts with the
-division by N^2 first (``_bias_again``).
+with mu_e factored out, and the uniform and coarse bias parts, and the
+optimal-coarse form where a count term is too large for a float, with the
+division by N^2 first (``_bias_again``, ``_coarse_optimal_again``).
 """
 
 from __future__ import annotations
@@ -154,26 +158,31 @@ def _coarse_variance(
     ) * d / (n_j - d - 1)
 
 
-def _coarse_optimal_parts(n_j: int, total: int, b: int, mu_e: Number, bias: Number) -> Number:
-    """Optimal-coarse closed form from (n_j, N, B), for a member not alone.
-
-    A float mu_e near the top of the float range overflows mu_e^2; only then
-    is the form evaluated again with mu_e divided out of both sides, so
-    every finite result keeps its bits.
-    """
-    num = mu_e * mu_e * (total - n_j) + mu_e * bias * b
-    den = mu_e * total * (total - n_j) + bias * n_j * b
-    result = num / den
-    if not result < _INF:
-        result = (mu_e * (total - n_j) + bias * b) / (
-            total * (total - n_j) + bias * n_j * b / mu_e
+def _coarse_optimal_again(n_j: int, total: int, b: int, mu_e: Number, bias: Number) -> Number:
+    """The optimal-coarse closed form from (n_j, N, B_j), for a member not
+    alone, evaluated again where its first evaluation in ``scheme_formula``
+    is not finite or raises ``OverflowError``, and only then, so every
+    finite first result keeps its bits: with mu_e divided out of both sides,
+    where a float mu_e near the top of the float range overflows mu_e^2;
+    where a count term (B_j, N - n_j, N or N*(N - n_j)) is too large for a
+    float, in the first grouping with each count term divided by N^2 first,
+    as ``_bias_again`` does for the bias part.  A result that is still not
+    finite is refused."""
+    rest = total - n_j
+    try:
+        result = (mu_e * rest + bias * b) / (total * rest + bias * n_j * b / mu_e)
+    except OverflowError:
+        square_total = total * total
+        part = b / square_total
+        result = (mu_e * mu_e * (rest / square_total) + mu_e * bias * part) / (
+            mu_e * (rest / total) + bias * n_j * part
         )
-        if not result < _INF:
-            raise ValidationError(
-                f"optimal coarse-grained error overflows for mu_e={mu_e!r}, "
-                f"bias={bias!r}, n={n_j}, N={total}"
-            )
-    return result
+    if result < _INF:
+        return result
+    raise ValidationError(
+        f"optimal coarse-grained error overflows for mu_e={mu_e!r}, "
+        f"bias={bias!r}, n={n_j}, N={total}"
+    )
 
 
 def _fine_member(j: int, row: Mapping[int, Number], config: GameConfig) -> Number:
@@ -244,6 +253,8 @@ def _check_row(row: Mapping[int, Number], members: Sequence[int]) -> None:
 
 
 MemberError = Callable[[int], Number]
+# ``Formula``'s floor(j, N, Q, rest)
+Floor = Callable[[int, int, int, Number], Number]
 
 
 def _overflow(scheme: FederationScheme, n_j: int, total: int) -> ValidationError:
@@ -272,6 +283,11 @@ def _listed(members: Sequence[int], total: int) -> Sequence[int]:
     return members
 
 
+def _no_floor() -> None:
+    """``Formula.make_floor`` of a scheme without a floor."""
+    return None
+
+
 class Formula(NamedTuple):
     """A scheme resolved for one config (``scheme_formula``).
 
@@ -285,17 +301,28 @@ class Formula(NamedTuple):
     share the member list; regression uniform and coarse share the global
     variance.
 
-    ``floor(j, N, Q, rest)`` is a lower bound on player j's error that needs
-    no shared term and costs O(1): ``floor <= error`` always, so a scan
-    settles a member whose floor already rules out a gain without taking the
-    shared term.  ``rest`` is the sum of ``addends``, one value per player,
-    over the coalition's members other than j, in ascending order from 0;
-    where ``addends`` is None it is their sample count, N - n_j.  ``floor``
-    is given for regression uniform and coarse and for fine-optimal, and is
-    None elsewhere; ``addends`` is None but under fine-optimal.
-    ``floor_is_error`` says that the floor is the error itself, to the last
-    bit and of the same type, so a scan may take it as the error: so only
-    under fine-optimal federation in exact mode.
+    ``alone[j]`` is player j's error alone, ``error(j, n_j, n_j^2, terms)``:
+    their local error, listed once, so a caller reads it without a call.
+    An entry is inf where ``error`` refuses the player alone, or checks the
+    scheme first: a float local error that overflows, a player a coarse
+    scheme has no weight for, and every player under fine federation, whose
+    rows ``error`` checks.  A caller asks ``error`` wherever ``alone[j]``
+    is not finite, and so meets the same refusal.
+
+    ``make_floor()`` builds ``floor(j, N, Q, rest)``, a lower bound on
+    player j's error that needs no shared term and costs O(1):
+    ``floor <= error`` always, so a scan settles a member whose floor
+    already rules out a gain without taking the shared term.  A scan that
+    asks for the floor builds it once; the callers that do not, such as
+    ``member_formula``, pay nothing for it.  ``rest`` is the sum of
+    ``addends``, one value per player, over the coalition's members other
+    than j, in ascending order from 0; where ``addends`` is None it is their
+    sample count, N - n_j.  A floor is given for regression uniform and
+    coarse and for fine-optimal; ``make_floor()`` returns None elsewhere,
+    and where the float fine-optimal floor is withheld.  ``addends`` is None
+    but under fine-optimal.  ``floor_is_error`` says that the floor is the
+    error itself, to the last bit and of the same type, so a scan may take
+    it as the error: so only under fine-optimal federation in exact mode.
 
     Regression uniform and coarse: the floor is the bias part
     sigma_bias_sq*B_j*(1-w)^2/N^2, w = 0 under uniform federation and
@@ -344,9 +371,10 @@ class Formula(NamedTuple):
 
     error: Callable[[int, int, int, Any], Number]
     shared: Optional[Callable[[Sequence[int], int], Any]]
-    floor: Optional[Callable[[int, int, int, Number], Number]]
+    make_floor: Callable[[], Optional[Floor]]
     addends: Optional[Sequence[Number]]
     floor_is_error: bool
+    alone: Sequence[Number]
 
 
 # the range a float fine-optimal floor needs of mu and the bias (``Formula``)
@@ -377,9 +405,9 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
 
     Everything that does not depend on the coalition is done here, once: the
     scheme dispatch, each player's local error, the optimal-weight
-    parameters, the optimal-fine V_i and 1/V_i (and, in float mode, whether
-    a floor is given, from the largest count), and each player's
+    parameters, the optimal-fine V_i and 1/V_i, and each player's
     linear-regression numerator mu_e*n_i*n_i*d and denominator n_i-d-1.
+    The fine-optimal floor is built by ``make_floor``, for a scan that asks.
 
     A member's error costs O(1), or O(|C|) under the fine-grained schemes,
     plus the shared term, O(|C|), once per coalition; a floor costs O(1),
@@ -403,7 +431,7 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, ns[j], total)
 
-        return Formula(local_error, None, None, None, False)
+        return Formula(local_error, None, _no_floor, None, False, local)
     if isinstance(scheme, Fine):
         rows = scheme.rows
 
@@ -421,21 +449,30 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, ns[j], total)
 
-        return Formula(fine, _listed, None, None, False)
+        return Formula(fine, _listed, _no_floor, None, False, [_INF] * len(ns))
     if isinstance(scheme, CoarseOptimal):
         mu, bias, _ = effective_mean_params(config)
 
         def coarse_optimal(j: int, total: int, square: int, terms: None) -> Number:
             n = ns[j]
             if total != n:
-                # B_j inline (``_bias_integer``): this runs once per member a scan asks about
-                return _coarse_optimal_parts(n, total, square - n * n + (total - n) ** 2, mu, bias)
+                # B_j inline (``_bias_integer``), and the first evaluation:
+                # this runs once per member a scan asks about
+                rest = total - n
+                b = square - n * n + rest * rest
+                try:
+                    result = (mu * mu * rest + mu * bias * b) / (mu * total * rest + bias * n * b)
+                    if result < _INF:
+                        return result
+                except OverflowError:  # B_j, or N - n_j, too large for a float
+                    pass
+                return _coarse_optimal_again(n, total, b, mu, bias)
             err = local[j]
             if err < _INF:
                 return err
             raise _overflow(scheme, n, total)
 
-        return Formula(coarse_optimal, None, None, None, False)
+        return Formula(coarse_optimal, None, _no_floor, None, False, local)
     if isinstance(scheme, FineOptimal):
         mu, bias, v_of, inv = _optimal_fine_terms(config)
 
@@ -470,27 +507,32 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, n, total)
 
-        if not isinstance(v_of[0], float):
-            lead = [mu / n for n in ns]
+        exact = not isinstance(v_of[0], float)
 
-            def exact_floor(j: int, total: int, square: int, rest: Number) -> Number:
-                """The error itself: E = a_j*(1 + b*S)/(1 + V_j*S), S = ``rest``,
-                or the local error of a member alone (``Formula``)."""
-                if total == ns[j]:
-                    return local[j]
-                return lead[j] * (1 + bias * rest) / (1 + v_of[j] * rest)
+        def make_floor() -> Optional[Floor]:
+            if exact:
+                lead = [mu / n for n in ns]
 
-            return Formula(fine_optimal, _listed, exact_floor, inv, True)
-        scaled = _fine_floor_scale(mu, bias, max(ns), len(ns))
-        if scaled is None:
-            return Formula(fine_optimal, _listed, None, None, False)
+                def exact_floor(j: int, total: int, square: int, rest: Number) -> Number:
+                    """The error itself: E = a_j*(1 + b*S)/(1 + V_j*S), S = ``rest``,
+                    or the local error of a member alone (``Formula``)."""
+                    if total == ns[j]:
+                        return local[j]
+                    return lead[j] * (1 + bias * rest) / (1 + v_of[j] * rest)
 
-        def float_floor(j: int, total: int, square: int, rest: Number) -> Number:
-            """E*keep, E = a_j*(1 + b*S)/(1 + V_j*S) and S = ``rest``
-            (``Formula``)."""
-            return scaled / ns[j] * (1 + bias * rest) / (1 + v_of[j] * rest)
+                return exact_floor
+            scaled = _fine_floor_scale(mu, bias, max(ns), len(ns))
+            if scaled is None:
+                return None
 
-        return Formula(fine_optimal, _listed, float_floor, inv, False)
+            def float_floor(j: int, total: int, square: int, rest: Number) -> Number:
+                """E*keep, E = a_j*(1 + b*S)/(1 + V_j*S) and S = ``rest``
+                (``Formula``)."""
+                return scaled / ns[j] * (1 + bias * rest) / (1 + v_of[j] * rest)
+
+            return float_floor
+
+        return Formula(fine_optimal, _listed, make_floor, inv, exact, local)
     bias_coef = _bias_coef(config)
     global_variance = None
     if config.linreg is not None:
@@ -553,8 +595,8 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, n, total)
 
-        floor = None if global_variance is None else uniform_bias
-        return Formula(uniform, global_variance, floor, None, False)
+        make_floor = _no_floor if global_variance is None else lambda: uniform_bias
+        return Formula(uniform, global_variance, make_floor, None, False, local)
     if isinstance(scheme, Coarse):
         weights = scheme.weights
 
@@ -583,8 +625,9 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                 return err
             raise _overflow(scheme, n, total)
 
-        floor = None if global_variance is None else coarse_bias
-        return Formula(coarse, global_variance, floor, None, False)
+        make_floor = _no_floor if global_variance is None else lambda: coarse_bias
+        alone = [err if j in weights else _INF for j, err in enumerate(local)]
+        return Formula(coarse, global_variance, make_floor, None, False, alone)
     raise ValidationError(f"unknown federation scheme {scheme!r}")
 
 
@@ -608,7 +651,7 @@ def member_formula(
     _check_player(members[0], config)
     _check_player(members[-1], config)
     total, square = _sample_sums(members, config.players)
-    error, shared, _, _, _ = scheme_formula(scheme, config)
+    error, shared = scheme_formula(scheme, config)[:2]
     terms = None if shared is None else shared(members, total)
     return lambda j: error(j, total, square, terms)
 

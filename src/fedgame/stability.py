@@ -13,7 +13,8 @@ The stable-set search fills one dense table once: ``errs[j][mask]``, every
 member error of every mask below 2^m, m*2^(m-1) calls of the closed form
 with each mask's sums and shared term taken once (``_ErrorTable.dense``).
 Under exact fine-optimal federation the table is filled from the scheme's
-``Formula.floor``, which is the error there (``Formula.floor_is_error``).
+floor (``Formula.make_floor``), which is the error there
+(``Formula.floor_is_error``).
 Each of the Bell(m) partitions is then scanned by lookups only: a blocking
 scan (``_blocking_coalition``) or an individual-deviation scan
 (``_individual_move``), current errors looked up too.
@@ -23,25 +24,32 @@ of its own: a candidate coalition is settled by its first member who does
 not gain, and the members after that one are never evaluated.  A core or
 strict-core verdict (``_single_blocking_coalition``) extends the sum lists
 only as far as it scans and skips the partition's own blocks.  Under a
-scheme with a ``Formula.floor`` (regression uniform and coarse, whose
-shared term is the global variance, and fine-optimal, whose shared term is
-the member list) it asks the member's floor first: a lower bound on the
-error that costs O(1), given the sum of the scheme's addends over the
-mask's other members, read from a third flat list.  A member is settled as
-not gaining when ``floor >= lower[j]`` and, for the strict core, also
-``floor > upper[j]``; only a member it does not settle costs the shared
-term and a call of the closed form, and a floor that is the error is taken
-as the error.  A one-player block, or a player's stay-alone check
-(``_individual_deviation``), is one call of the closed form with N = n_j.
+scheme with a floor (``Formula.make_floor``, built once per scan:
+regression uniform and coarse, whose shared term is the global variance,
+and fine-optimal, whose shared term is the member list) it asks the
+member's floor first: a lower bound on the error that costs O(1), given the
+sum of the scheme's addends over the mask's other members, read from a
+third flat list.  A member is settled as not gaining when
+``floor >= lower[j]`` and, for the strict core, also ``floor > upper[j]``;
+only a member it does not settle costs the shared term and a call of the
+closed form, and a floor that is the error is taken as the error.  A
+one-player block's current error, and a player's stay-alone check
+(``_individual_deviation``), are read from ``Formula.alone`` without a
+call; only where that entry is not finite is the closed form called, which
+refuses it.
 
 The scans work on a partition as its tuple of block bitmasks: the public
 verdicts read their ``Partition``'s ``masks``, and the stable-set search
 walks the mask tuples of ``model._partition_masks`` and builds a
 ``Partition`` from its masks only for each partition it returns.  A
-verdict builds no ``Coalition`` but its witness.  Each scan computes every
-player's strict and weak bounds once per partition
-(``PreferenceOrder.bounds``) and compares member errors against them
-inline.
+verdict builds no ``Coalition`` but its witness.  Each scan compares
+member errors inline against each player's strict and weak bounds
+(``PreferenceOrder.bounds``).  The stable-set search's scans and the
+individual-deviation verdict take every player's bounds once per partition;
+a core or strict-core verdict takes player t's when its scan reaches level
+t, so one whose witness is among the first masks computes only the bounds
+of the players it reaches.  Every verdict takes its partition's current
+errors up front, so it raises any refusal among them before it scans.
 
 Comparisons run in one of two modes: relative-epsilon floating point
 (default) or exact rational arithmetic, selected on ``PreferenceOrder``.
@@ -54,7 +62,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from .errors import _sample_sums, scheme_formula, two_size_formula
+from .errors import _INF, _sample_sums, scheme_formula, two_size_formula
 
 # coalition_member_mse, two_size_errors and enumerate_partitions are not
 # called here (the scans resolve the scheme once with scheme_formula, the
@@ -168,7 +176,8 @@ class _ErrorTable:
     of every mask below ``2^t``.
 
     ``__init__`` resolves the scheme to the ``errors.Formula``
-    ``(error, shared, floor, addends, floor_is_error)``.  ``totals[mask]``
+    ``(error, shared, make_floor, addends, floor_is_error, alone)``; a scan
+    that asks for the floor builds it with ``make_floor()``.  ``totals[mask]``
     and ``squares[mask]`` are the mask's sample sums N and Q, and
     ``rests[mask]`` the sum of the scheme's addends over its members in
     ascending order from 0 (under fine-optimal federation the sum of 1/V_i
@@ -193,7 +202,9 @@ class _ErrorTable:
             config = exact_config(config)
             scheme = exact_scheme(scheme)
         formula = scheme_formula(scheme, config)
-        self.error, self.shared, self.floor, self.addends, self.floor_is_error = formula
+        (
+            self.error, self.shared, self.make_floor, self.addends, self.floor_is_error, self.alone
+        ) = formula
         self.ns = config.players
         self.totals: list[int] = [0]
         self.squares: list[int] = [0]
@@ -224,8 +235,9 @@ class _ErrorTable:
         self.extend(m)
         totals, squares, rests = self.totals, self.squares, self.rests
         errs: list[list[Any]] = [[None] * (1 << m) for _ in range(m)]
-        error, shared, floor = self.error, self.shared, self.floor
-        by_floor = floor is not None and self.floor_is_error
+        error, shared = self.error, self.shared
+        floor = self.make_floor() if self.floor_is_error else None
+        by_floor = floor is not None
         for mask in range(1, 1 << m):
             members = _mask_members(mask)
             total, square = totals[mask], squares[mask]
@@ -246,12 +258,17 @@ class _ErrorTable:
 
     def current_errors(self, masks: Sequence[int]) -> list[Number]:
         """Every player's error in its own coalition, indexed by player,
-        given the partition's block masks.  A one-player block is one call of
-        ``error`` with N = n_j, inline: a verdict on m singletons asks for m
-        of them, and such verdicts hold the median rank of single-verdict
-        latencies."""
-        ns, error, shared = self.ns, self.error, self.shared
-        current: list[Number] = [0] * len(ns)
+        given the partition's block masks, block by block in their order.  A
+        one-player block's error is its ``Formula.alone`` entry, read without
+        a call: a verdict on m singletons asks for m of them, and such
+        verdicts hold the median rank of single-verdict latencies.  Where
+        that entry is not finite, ``error_alone`` meets ``error``'s refusal
+        in the block's turn, as a call would have."""
+        error = self.error
+        current = list(self.alone)
+        if len(masks) == len(current) and max(current) < _INF:
+            # one player per block, and no entry refused: ``alone`` itself
+            return current
         for mask in masks:
             if mask & (mask - 1):
                 members = _mask_members(mask)
@@ -260,9 +277,15 @@ class _ErrorTable:
                     current[j] = error(j, total, square, terms)
             else:
                 j = mask.bit_length() - 1
-                n = ns[j]
-                current[j] = error(j, n, n * n, None if shared is None else shared([j], n))
+                if not current[j] < _INF:
+                    current[j] = self.error_alone(j)
         return current
+
+    def error_alone(self, j: int) -> Number:
+        """Player j's error alone by a call of ``error``, N = n_j: for a
+        player whose ``Formula.alone`` entry is not finite, where ``error``
+        refuses them."""
+        return self.error(j, *self.coalition([j]))
 
 
 def _require_cap(m: int, cap: int, what: str) -> None:
@@ -342,10 +365,17 @@ def _single_blocking_coalition(
     floor is asked first, before the shared term is taken: a member is
     settled as not gaining when ``floor >= lower[j]`` and, for the strict
     core, also ``floor > upper[j]``.  A floor that is the error is taken as
-    the error.
+    the error.  The current errors are taken up front, so a refusal among
+    them comes before any witness; player t's bounds
+    (``PreferenceOrder.bounds``) when the scan reaches the masks in
+    ``[2^t, 2^(t+1))``, the first with t as a member.
     """
-    lower, upper = prefs.bounds(table.current_errors(masks))
-    error, shared, floor, ns = table.error, table.shared, table.floor, table.ns
+    current = table.current_errors(masks)
+    exact = prefs.exact
+    lower, upper = (current, current) if exact else ([], [])
+    # the factors of ``PreferenceOrder.bounds``, applied one player at a time
+    shrink, grow = 1.0 - prefs.epsilon, 1.0 + prefs.epsilon
+    error, shared, floor, ns = table.error, table.shared, table.make_floor(), table.ns
     totals, squares, rests, addends = table.totals, table.squares, table.rests, table.addends
     own = set(masks)
     floor_is_error = floor is not None and table.floor_is_error
@@ -355,6 +385,10 @@ def _single_blocking_coalition(
     for top in range(m):
         # ``_ErrorTable.extend(top + 1)``, inline: a method call per level
         # shows on a verdict whose witness is among the first masks
+        if not exact:
+            cur = current[top]
+            lower.append(cur * shrink)
+            upper.append(cur * grow)
         n = ns[top]
         n_square = n * n
         totals += [total + n for total in totals]
@@ -458,7 +492,7 @@ def _individual_deviation(
     computed first, then each host's in ascending order until one host
     would lose."""
     lower, upper = prefs.bounds(table.current_errors(masks))
-    error, shared, ns = table.error, table.shared, table.ns
+    error, alone = table.error, table.alone
     for i in range(m):
         bit = 1 << i
         own = bit
@@ -476,9 +510,9 @@ def _individual_deviation(
             else:
                 return i, joined
         if allow_singleton_deviation and own != bit:
-            # player i alone, one call of the closed form with N = n_i
-            n = ns[i]
-            if error(i, n, n * n, None if shared is None else shared([i], n)) < lower[i]:
+            # player i alone: their ``Formula.alone`` entry, inline
+            err = alone[i]
+            if (err if err < _INF else table.error_alone(i)) < lower[i]:
                 return i, bit
     return None
 

@@ -52,6 +52,7 @@ from fedgame import (
     TwoSizeDeviation,
     TwoSizeGame,
     Uniform,
+    ValidationError,
     find_stable_partitions,
     is_core_stable,
     is_individually_stable,
@@ -270,10 +271,18 @@ def check_verdicts() -> None:
     under coarse-optimal.  Eight
     large linear-regression players alone are core and strict-core stable
     under uniform and coarse federation: a full scan where the floor settles
-    most coalitions without the global variance."""
+    most coalitions without the global variance.  Early witnesses: {a,b}
+    blocks the singletons, and a joins b, under coarse-optimal, fine-optimal
+    and regression uniform federation, settled by two players' errors.  A
+    coarse scheme without c's weight is refused, though {a,b} would block."""
     grand, config = Partition.grand(3), GameConfig((5, 5, 5), 10, 1)
     eight = GameConfig((2, 3, 4, 5, 6, 7, 8, 9), 100, 1)
     large = GameConfig((101, 113, 127, 139, 151, 167, 181, 197), 20, 0.625, LinRegSpec(2, 0.625))
+    early = [
+        (CoarseOptimal(), GameConfig((5, 6, 25), 10, 1)),
+        (FineOptimal(), GameConfig((5, 6, 25), 10, 1)),
+        (Uniform(), GameConfig((10, 12, 200), 20, 1, LinRegSpec(2, 1))),
+    ]
     for prefs in (PreferenceOrder(), PreferenceOrder(exact=True)):
         blocked = is_core_stable(
             Partition.singletons(3), Uniform(), GameConfig((5, 5, 25), 10, 1), prefs
@@ -293,6 +302,21 @@ def check_verdicts() -> None:
         for players, stable in ANCHORS:
             found = find_stable_partitions(GameConfig(players, 10, 1), Uniform(), "core", prefs)
             assert found == [stable], (players, found, prefs)
+        for scheme, game in early:
+            for verdict_of in (is_core_stable, is_strict_core_stable):
+                verdict = verdict_of(Partition.singletons(3), scheme, game, prefs)
+                assert (verdict.stable, verdict.witness) == (False, PAIR), verdict
+            verdict = is_individually_stable(Partition.singletons(3), scheme, game, prefs)
+            assert verdict.witness == Deviation(0, PAIR), verdict
+        unweighted = Coarse({0: 0.5, 1: 0.5})
+        try:
+            is_core_stable(
+                Partition.singletons(4), unweighted, GameConfig((3, 4, 50, 60), 10.0, 1.0), prefs
+            )
+        except ValidationError as refusal:
+            assert str(refusal) == "coarse scheme has no weight for player 2", refusal
+        else:
+            raise AssertionError(f"{unweighted} was not refused")
 
 
 # the counterexample's quantities and values, as ``reproduce --all`` prints them

@@ -424,6 +424,22 @@ def test_coarse_optimal_survives_a_squared_mu_e_overflow():
         coalition_errors(Coalition((0, 1, 2)), CoarseOptimal(), big)
 
 
+@pytest.mark.parametrize("sigma_sq", [1.0, 1e-200])
+def test_coarse_optimal_survives_a_count_term_beyond_the_float_range(sigma_sq):
+    # B_j is about 10^401, too large for a float; the closed form is
+    # evaluated again with N - n_j and B_j divided by N^2 first, and agrees
+    # with exact arithmetic within a few units in the last place.
+    config = GameConfig((10**200, 3 * 10**200), 1.0, sigma_sq)
+    errs = coalition_errors([0, 1], CoarseOptimal(), config)
+    exact = coalition_errors([0, 1], CoarseOptimal(), exact_config(config))
+    for j in (0, 1):
+        expected = float(exact[j])
+        assert abs(errs[j] - expected) <= 4 * math.ulp(expected), (j, errs[j], expected)
+    # mu_e^2 overflows as well: refused
+    with pytest.raises(ValidationError, match="overflows"):
+        coalition_errors([0, 1], CoarseOptimal(), GameConfig(config.players, 1e200, 1.0))
+
+
 @pytest.mark.parametrize("scheme", [Uniform(), Coarse({0: 0.5, 1: 0.25})])
 def test_linreg_global_variance_survives_a_numerator_overflow(scheme):
     # mu_e*n*n*d overflows a float; the global variance is summed again

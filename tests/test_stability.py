@@ -32,7 +32,7 @@ from fedgame import (
     two_size_weak_blocking_search,
 )
 from fedgame import constructive, enumerate_partitions, errors, model, stability
-from fedgame.errors import Formula, _sample_sums, scheme_formula
+from fedgame.errors import Formula, _no_floor, _sample_sums, scheme_formula
 from fedgame.stability import Deviation, PreferenceOrder
 import oracles
 
@@ -261,13 +261,14 @@ def _formula_seam(monkeypatch):
     evaluations per mask.  The counting formula gives every scheme a shared
     term, the coalition's mask beside the scheme's own term, so a build is a
     scan's first member evaluation in a visit to a mask.  The scheme's
-    ``floor``, ``addends`` and ``floor_is_error`` are passed on as they
-    are."""
+    ``make_floor``, ``addends``, ``floor_is_error`` and ``alone`` are passed
+    on as they are: a read of ``alone`` is neither a build nor an
+    evaluation."""
     seam = SimpleNamespace(resolved=0, built=[], evaluated={})
 
     def resolve(scheme, cfg):
         seam.resolved += 1
-        error, shared, floor, addends, floor_is_error = scheme_formula(scheme, cfg)
+        error, shared, make_floor, addends, floor_is_error, alone = scheme_formula(scheme, cfg)
 
         def counting_shared(members, total):
             mask = sum(1 << j for j in members)
@@ -279,7 +280,7 @@ def _formula_seam(monkeypatch):
             seam.evaluated[mask] = seam.evaluated.get(mask, 0) + 1
             return error(j, total, square, own)
 
-        return Formula(counted, counting_shared, floor, addends, floor_is_error)
+        return Formula(counted, counting_shared, make_floor, addends, floor_is_error, alone)
 
     monkeypatch.setattr(stability, "scheme_formula", resolve)
     return seam
@@ -290,10 +291,11 @@ def test_single_verdict_computes_only_the_masks_it_scans(monkeypatch):
     # joining player 1, so the scan stops at mask 3 and must not have built
     # the whole 2^14 - 1 table.  In the grand coalition no player can join
     # another block, and no player gains alone: the individual scan builds
-    # the grand mask and each player's own mask, once each.
+    # the grand mask once.  A player's error alone, as a one-player block
+    # or in a stay-alone check, is read from ``Formula.alone``: no
+    # one-player mask is built.
     m = 14
     config = GameConfig((5,) * m, 10, 1)
-    own = [1 << j for j in range(m)]
     for verdict_of, partition, witness, visited in (
         (is_core_stable, Partition.singletons(m), Coalition((0, 1)), 3),
         (is_individually_stable, Partition.singletons(m), Deviation(0, Coalition((0, 1))), 3),
@@ -302,7 +304,7 @@ def test_single_verdict_computes_only_the_masks_it_scans(monkeypatch):
         computed = _formula_seam(monkeypatch).built
         verdict = verdict_of(partition, Uniform(), config)
         assert (verdict.stable, verdict.witness) == (witness is None, witness)
-        assert sorted(computed) == sorted(own + [visited])
+        assert computed == [visited]
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -323,6 +325,98 @@ def test_a_verdict_and_a_stable_set_search_each_resolve_the_scheme_once(
     seam = _formula_seam(monkeypatch)
     find_stable_partitions(config, CoarseOptimal(), notion, prefs)
     assert seam.resolved == 1 and len(set(seam.built)) == 31
+
+
+def test_the_fine_optimal_floor_is_built_only_for_a_scan_that_asks(monkeypatch):
+    # ``Formula.make_floor`` builds the float fine-optimal floor, and with it
+    # ``_fine_floor_scale``: the error layer, the individual verdict and the
+    # float stable-set search never ask for it; a core verdict does, once.
+    built = []
+    scale = errors._fine_floor_scale
+    monkeypatch.setattr(
+        errors, "_fine_floor_scale", lambda *args: built.append(args) or scale(*args)
+    )
+    config = GameConfig((2, 3, 5, 8, 13), 10, 1)
+    coalition_errors([0, 1, 2], FineOptimal(), config)
+    coalition_member_mse(0, Coalition((0, 1)), FineOptimal(), config)
+    errors.player_errors(Partition.grand(5), FineOptimal(), config)
+    is_individually_stable(Partition.grand(5), FineOptimal(), config)
+    find_stable_partitions(config, FineOptimal(), "core")
+    assert built == []
+    assert is_core_stable(Partition.grand(5), FineOptimal(), config).stable
+    assert len(built) == 1
+
+
+VERDICTS = [is_core_stable, is_strict_core_stable, is_individually_stable]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("verdict_of", VERDICTS)
+@pytest.mark.parametrize(
+    "blocks, weights, player",
+    [
+        # {a,b} blocks the singletons, and a gains by joining b; c has no weight
+        ([[0], [1], [2], [3]], {0: 0.5, 1: 0.5}, 2),
+        # each block in its turn: {a} before {b,c}, and {a,b} before {c}
+        ([[0], [1, 2], [3]], {2: 0.5, 3: 0.5}, 0),
+        ([[0, 1], [2], [3]], {1: 0.5, 3: 0.5}, 0),
+    ],
+)
+def test_a_verdict_refuses_a_coarse_scheme_without_a_players_weight(
+    verdict_of, exact, blocks, weights, player
+):
+    # A verdict takes its partition's current errors up front, block by
+    # block, so it refuses before its scan could find a witness, with the
+    # refusal of the first block the error layer refuses.  With every
+    # weight given, each partition is answered, the singletons blocked by
+    # {a,b}.
+    config = GameConfig((3, 4, 50, 60), 10.0, 1.0)
+    prefs = PreferenceOrder(exact=exact)
+    partition = Partition.from_blocks(blocks)
+    weighted = verdict_of(partition, Coarse(dict.fromkeys(range(4), 0.5)), config, prefs)
+    if len(blocks) == 4:
+        pair = Coalition((0, 1))
+        individual = verdict_of is is_individually_stable
+        assert weighted.witness == (Deviation(0, pair) if individual else pair)
+    with pytest.raises(ValidationError) as refused:
+        verdict_of(partition, Coarse(weights), config, prefs)
+    assert str(refused.value) == f"coarse scheme has no weight for player {player}"
+
+
+@pytest.mark.parametrize("verdict_of", VERDICTS)
+def test_a_verdict_refuses_a_one_player_block_whose_local_error_overflows(verdict_of):
+    # mu_e*d = 4e308 overflows a float, and so does each player's local
+    # error mu_e*d/(n-d-1): the float verdict refuses a, alone, as the
+    # error layer does; the exact one answers.
+    config = GameConfig((6, 200), 1e308, 1, LinRegSpec(4, 1))
+    with pytest.raises(ValidationError) as alone:
+        coalition_errors([0], Uniform(), config)
+    with pytest.raises(ValidationError) as refused:
+        verdict_of(Partition.singletons(2), Uniform(), config)
+    assert str(refused.value) == str(alone.value)
+    assert "overflows the float range" in str(alone.value)
+    exact = verdict_of(Partition.singletons(2), Uniform(), config, PreferenceOrder(exact=True))
+    assert exact.comparisons_mode == stability.EXACT_MODE
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("verdict_of", VERDICTS)
+def test_a_coarse_optimal_verdict_answers_where_a_count_term_is_beyond_the_float_range(
+    verdict_of, exact
+):
+    # B_j is about 10^401, too large for a float: the optimal-coarse form is
+    # evaluated again with the count terms divided by N^2.  With
+    # sigma_sq = 1e-200 each player gains about a third in {a,b}, in both
+    # modes.  With sigma_sq = 1, a's gain is about 5e-201 of their error:
+    # the exact verdict finds {a,b}, and in float mode it lies inside the
+    # epsilon band, so the float verdict is the stable one.
+    prefs = PreferenceOrder(exact=exact)
+    pair = Coalition((0, 1))
+    witness = Deviation(0, pair) if verdict_of is is_individually_stable else pair
+    for sigma_sq, blocked in ((1e-200, True), (1.0, exact)):
+        config = GameConfig((10**200, 3 * 10**200), 1.0, sigma_sq)
+        verdict = verdict_of(Partition.singletons(2), CoarseOptimal(), config, prefs)
+        assert (verdict.stable, verdict.witness) == (not blocked, witness if blocked else None)
 
 
 @pytest.mark.parametrize(
@@ -350,8 +444,12 @@ def test_a_stable_scan_stops_at_each_masks_first_non_gaining_member(
         coalition = Coalition.from_mask(mask)
         errs = coalition_errors(coalition, scheme, config)
         fails = [k for k, j in enumerate(coalition.members) if not gains(errs[j], current[j])]
-        # the partition's own coalitions are filled whole for `current`
-        expected[mask] = len(coalition) if mask in own or not fails else fails[0] + 1
+        if mask not in own:
+            expected[mask] = fails[0] + 1 if fails else len(coalition)
+        elif len(coalition) > 1:
+            # filled whole for `current`; a one-player block's error is read
+            # from ``Formula.alone``, not evaluated
+            expected[mask] = len(coalition)
 
     evaluated = _formula_seam(monkeypatch).evaluated
     verdict = (is_strict_core_stable if strict_notion else is_core_stable)(
@@ -376,14 +474,15 @@ def test_a_stable_regression_scan_takes_the_global_variance_only_where_the_floor
 ):
     # A single verdict's scan asks each mask's lowest member first.  The
     # shared term is taken for a mask exactly when that member's floor does
-    # not settle them: in the partition's own blocks (the bounds) and in 3
-    # (uniform) or 30 (coarse) of the other 247 masks.
+    # not settle them: in 3 (uniform) or 30 (coarse) of the 247 masks that
+    # are not the partition's own blocks.  The own blocks' errors, the
+    # bounds, are the players' errors alone, read from ``Formula.alone``.
     m = len(REGRESSION.players)
     prefs = PreferenceOrder(exact=exact)
     config, layer_scheme = REGRESSION, scheme
     if exact:
         config, layer_scheme = exact_config(config), exact_scheme(scheme)
-    floor = scheme_formula(layer_scheme, config).floor
+    floor = scheme_formula(layer_scheme, config).make_floor()
     lower, upper = prefs.bounds(
         [coalition_errors([j], layer_scheme, config)[j] for j in range(m)]
     )
@@ -404,7 +503,7 @@ def test_a_stable_regression_scan_takes_the_global_variance_only_where_the_floor
         partition, scheme, REGRESSION, prefs
     )
     assert (verdict.stable, verdict.witness) == (True, None)
-    assert sorted(seam.built) == sorted(own + unsettled)
+    assert sorted(seam.built) == unsettled
 
 
 @pytest.mark.parametrize("strict_notion", [False, True])
@@ -418,7 +517,8 @@ def test_a_member_whose_floor_is_just_inside_its_bound_is_evaluated(monkeypatch,
     # player 0 by the floor would miss it.
     config = GameConfig((50, 80), 1e-12, 1.0, LinRegSpec(2, 1.0))
     prefs = PreferenceOrder()
-    error, shared, floor, _, _ = scheme_formula(Uniform(), config)
+    error, shared, make_floor = scheme_formula(Uniform(), config)[:3]
+    floor = make_floor()
     total, square = _sample_sums((0, 1), config.players)
     terms = shared((0, 1), total)
     least = floor(0, total, square, total - config.players[0])
@@ -430,7 +530,10 @@ def test_a_member_whose_floor_is_just_inside_its_bound_is_evaluated(monkeypatch,
     else:
         assert 0.999 * lower[0] < least < lower[0]
     found = []
-    for formula in (scheme_formula, lambda *args: scheme_formula(*args)._replace(floor=None)):
+    for formula in (
+        scheme_formula,
+        lambda *args: scheme_formula(*args)._replace(make_floor=_no_floor),
+    ):
         # the single verdict's scan: the stable-set search asks no floor
         monkeypatch.setattr(stability, "scheme_formula", formula)
         table = stability._ErrorTable(config, Uniform(), prefs)
@@ -458,7 +561,8 @@ def test_a_stable_fine_optimal_grand_scan_evaluates_only_where_the_floor_does_no
     m = len(FINE_GRAND.players)
     prefs = PreferenceOrder(exact=exact)
     config = exact_config(FINE_GRAND) if exact else FINE_GRAND
-    _, _, floor, addends, floor_is_error = scheme_formula(FineOptimal(), config)
+    _, _, make_floor, addends, floor_is_error, _ = scheme_formula(FineOptimal(), config)
+    floor = make_floor()
     assert floor_is_error == exact
     grand = (1 << m) - 1
     current = coalition_errors(list(range(m)), FineOptimal(), config)
@@ -486,8 +590,9 @@ def test_a_stable_fine_optimal_grand_scan_evaluates_only_where_the_floor_does_no
 @pytest.mark.parametrize("strict_notion", [False, True])
 def test_an_exact_fine_optimal_scan_takes_the_floor_as_the_error(monkeypatch, strict_notion):
     # In exact mode the fine-optimal floor is the error, so a single
-    # verdict's scan evaluates no member outside the partition's own blocks,
-    # not even the members of the witness {a,b} who gain.
+    # verdict's scan evaluates no member, not even the members of the
+    # witness {a,b} who gain; the singletons' own errors are read from
+    # ``Formula.alone``.
     config = GameConfig((5, 5, 25), 10, 1)
     prefs = PreferenceOrder(exact=True)
     partition = Partition.singletons(3)
@@ -496,7 +601,7 @@ def test_an_exact_fine_optimal_scan_takes_the_floor_as_the_error(monkeypatch, st
         partition, FineOptimal(), config, prefs
     )
     assert (verdict.stable, verdict.witness) == (False, Coalition((0, 1)))
-    assert sorted(seam.evaluated) == [1, 2, 4]
+    assert seam.evaluated == {}
 
 
 @pytest.mark.parametrize("strict_notion", [False, True])
@@ -511,7 +616,8 @@ def test_a_fine_optimal_member_whose_floor_is_just_inside_its_bound_is_evaluated
     # blocks the singletons.  Settling player 0 by the floor would miss it.
     config = GameConfig((50, 80), 10.0, 1.0)
     prefs = PreferenceOrder()
-    error, shared, floor, addends, _ = scheme_formula(FineOptimal(), config)
+    error, shared, make_floor, addends = scheme_formula(FineOptimal(), config)[:4]
+    floor = make_floor()
     total, square = _sample_sums((0, 1), config.players)
     terms = shared((0, 1), total)
     least = floor(0, total, square, addends[1])
@@ -523,7 +629,10 @@ def test_a_fine_optimal_member_whose_floor_is_just_inside_its_bound_is_evaluated
     else:
         assert 0.999 * lower[0] < least < lower[0]
     found = []
-    for formula in (scheme_formula, lambda *args: scheme_formula(*args)._replace(floor=None)):
+    for formula in (
+        scheme_formula,
+        lambda *args: scheme_formula(*args)._replace(make_floor=_no_floor),
+    ):
         # the single verdict's scan: the stable-set search has no float
         # fine-optimal floor
         monkeypatch.setattr(stability, "scheme_formula", formula)
@@ -560,14 +669,19 @@ def test_the_stable_set_search_evaluates_every_member_of_every_mask_once(
 
     def counting_floors(scheme, cfg):
         formula = resolve(scheme, cfg)
-        if formula.floor is None:
-            return formula
 
-        def floor(*args):
-            asked.append(args)
-            return formula.floor(*args)
+        def make_floor():
+            made = formula.make_floor()
+            if made is None:
+                return None
 
-        return formula._replace(floor=floor)
+            def floor(*args):
+                asked.append(args)
+                return made(*args)
+
+            return floor
+
+        return formula._replace(make_floor=make_floor)
 
     monkeypatch.setattr(stability, "scheme_formula", counting_floors)
     prefs = PreferenceOrder(exact=exact)

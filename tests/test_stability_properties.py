@@ -40,7 +40,7 @@ from fedgame import (
 )
 from fedgame import stability
 from fedgame.model import NOTIONS, _mask_members
-from fedgame.errors import _optimal_fine_terms, _sample_sums, scheme_formula
+from fedgame.errors import _no_floor, _optimal_fine_terms, _sample_sums, scheme_formula
 from fedgame.stability import (
     Deviation,
     PreferenceOrder,
@@ -215,9 +215,9 @@ def test_the_dense_table_equals_the_error_layer(table_game, rng):
     # every player outside the mask; under exact fine-optimal federation
     # it is filled from the floor, which is the error there.  A single
     # verdict's ``current_errors`` takes each block's sums and shared term
-    # from its members, and a one-player block's error from one call of
-    # ``error``: against a random partition, on a fresh table and after a
-    # scan, it equals ``player_errors``.
+    # from its members, and reads a one-player block's error from
+    # ``Formula.alone``: against a random partition, on a fresh table and
+    # after a scan, it equals ``player_errors``.
     config, scheme, prefs = table_game
     errors_of = _error_layer(config, scheme, prefs)
     m = len(config.players)
@@ -273,7 +273,7 @@ def test_the_flat_sums_are_every_masks_sample_sums(table_game, stable):
         size = len(table.totals)
         assert size & (size - 1) == 0 and len(table.squares) == size
         assert not hasattr(table, "members")
-        fine = isinstance(scheme, FineOptimal) and table.floor is not None
+        fine = isinstance(scheme, FineOptimal)
         assert (table.addends is not None) == fine
         if table.addends is None:
             assert table.rests is table.totals
@@ -564,7 +564,9 @@ def _unfiltered():
     """The scans' formula seam with each scheme's ``floor`` dropped: every
     member they ask about is evaluated in full."""
     return mock.patch.object(
-        stability, "scheme_formula", lambda scheme, cfg: scheme_formula(scheme, cfg)._replace(floor=None)
+        stability,
+        "scheme_formula",
+        lambda scheme, cfg: scheme_formula(scheme, cfg)._replace(make_floor=_no_floor),
     )
 
 
@@ -585,7 +587,7 @@ def test_the_floor_filter_changes_no_verdict_witness_or_stable_set(game, strict_
     # the same.
     config, scheme, partition, prefs = game
     regression = not isinstance(scheme, FineOptimal)
-    assert (_ErrorTable(config, scheme, prefs).floor is not None) or not regression
+    assert (_ErrorTable(config, scheme, prefs).make_floor() is not None) or not regression
     verdict_of = is_strict_core_stable if strict_notion else is_core_stable
     notion = "strict" if strict_notion else "core"
     m = len(config.players)
@@ -598,7 +600,7 @@ def test_the_floor_filter_changes_no_verdict_witness_or_stable_set(game, strict_
 
     filtered = _outcome(answers)
     with _unfiltered():
-        assert _ErrorTable(config, scheme, prefs).floor is None
+        assert _ErrorTable(config, scheme, prefs).make_floor() is None
         assert _outcome(answers) == filtered
 
 
@@ -618,7 +620,8 @@ def test_the_filtered_scans_find_what_the_full_scans_find_at_the_floor(game, str
     layer_config, layer_scheme = (
         (exact_config(config), exact_scheme(scheme)) if prefs.exact else (config, scheme)
     )
-    error, shared, floor, _, _ = scheme_formula(layer_scheme, layer_config)
+    error, shared, make_floor = scheme_formula(layer_scheme, layer_config)[:3]
+    floor = make_floor()
     members = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
     total, square = _sample_sums(members, config.players)
     terms = shared(members, total)
@@ -668,11 +671,12 @@ def test_the_floor_is_given_for_regression_and_fine_optimal_schemes_and_bounds_t
     config, scheme, prefs = table_game
     if prefs.exact:
         config, scheme = exact_config(config), exact_scheme(scheme)
-    error, shared, floor, addends, floor_is_error = scheme_formula(scheme, config)
+    error, shared, make_floor, addends, floor_is_error, _ = scheme_formula(scheme, config)
+    floor = make_floor()
     regression = config.linreg is not None and isinstance(scheme, (Uniform, Coarse))
     fine = isinstance(scheme, FineOptimal)
     assert (floor is not None) == regression or fine and (floor is not None or not prefs.exact)
-    assert (addends is not None) == (fine and floor is not None)
+    assert (addends is not None) == fine
     assert floor_is_error == (fine and prefs.exact)
     if floor is None:
         return

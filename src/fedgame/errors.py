@@ -43,13 +43,12 @@ carry from mask to mask.
 Two-size profile errors are ``scheme_formula`` with the roles, small and
 large, as the players; ``two_size_formula`` resolves it once per search.
 
-A float error that overflows is refused with ``ValidationError``; every
-finite result keeps its bits.  Where a product overflows though the error
-does not, only then is the form evaluated again in another grouping: the
-optimal-coarse form with mu_e divided out, the regression global variance
-with mu_e factored out, and the uniform and coarse bias parts, and the
-optimal-coarse form where a count term is too large for a float, with the
-division by N^2 first (``_bias_again``, ``_coarse_optimal_again``).
+One overflow rule: a float member error that overflows (not finite, or
+``OverflowError``) or is 0, as no error is, is evaluated again in the exact
+twin of the scheme and config and rounded to a float once, refused where
+that rounds to inf or to 0 (``_rounded_twin``); every other float error
+keeps its bits.  Where the per-player terms leave the float range at
+resolution, every error of the formula takes that path.
 """
 
 from __future__ import annotations
@@ -74,6 +73,8 @@ from .model import (
     ValidationError,
     _check_type,
     _is_count,
+    exact_config,
+    exact_scheme,
     scheme_name,
 )
 
@@ -119,14 +120,6 @@ def effective_mean_params(config: GameConfig) -> tuple[Number, Number, bool]:
     return config.mu_e * config.linreg.d, config.linreg.sigma_bias_sq, True
 
 
-def _variance_term(config: GameConfig, n: int) -> Number:
-    """mu_e times the per-player variance multiplier."""
-    if config.linreg is None:
-        return config.mu_e / n
-    d = config.linreg.d
-    return config.mu_e * d / (n - d - 1)
-
-
 def _sample_sums(members: Iterable[int], ns: Sequence[int]) -> tuple[int, int]:
     """(N, Q): the members' sample total and their sum of squared counts."""
     total = square = 0
@@ -158,33 +151,6 @@ def _coarse_variance(
     ) * d / (n_j - d - 1)
 
 
-def _coarse_optimal_again(n_j: int, total: int, b: int, mu_e: Number, bias: Number) -> Number:
-    """The optimal-coarse closed form from (n_j, N, B_j), for a member not
-    alone, evaluated again where its first evaluation in ``scheme_formula``
-    is not finite or raises ``OverflowError``, and only then, so every
-    finite first result keeps its bits: with mu_e divided out of both sides,
-    where a float mu_e near the top of the float range overflows mu_e^2;
-    where a count term (B_j, N - n_j, N or N*(N - n_j)) is too large for a
-    float, in the first grouping with each count term divided by N^2 first,
-    as ``_bias_again`` does for the bias part.  A result that is still not
-    finite is refused."""
-    rest = total - n_j
-    try:
-        result = (mu_e * rest + bias * b) / (total * rest + bias * n_j * b / mu_e)
-    except OverflowError:
-        square_total = total * total
-        part = b / square_total
-        result = (mu_e * mu_e * (rest / square_total) + mu_e * bias * part) / (
-            mu_e * (rest / total) + bias * n_j * part
-        )
-    if result < _INF:
-        return result
-    raise ValidationError(
-        f"optimal coarse-grained error overflows for mu_e={mu_e!r}, "
-        f"bias={bias!r}, n={n_j}, N={total}"
-    )
-
-
 def _fine_member(j: int, row: Mapping[int, Number], config: GameConfig) -> Number:
     """Fine-grained MSE of player j with weight row ``row``: the variance
     terms in row order, then the bias term from the other members' weights.
@@ -210,10 +176,18 @@ def _optimal_fine_terms(
     config: GameConfig,
 ) -> tuple[Number, Number, list[Number], list[Number]]:
     """(mu, bias, V, 1/V) for the optimal fine rows, V_i = bias + mu/n_i,
-    with V and 1/V listed per player."""
+    with V and 1/V listed per player.  In floats, ``OverflowError`` where a
+    row's divisor V_i*(1 + V_j*S) may overflow and read as a weight of 0.
+    With t = bias + mu >= V_i and T = sum 1/V_i >= S, 1/t, it is at most
+    t + t^2*T <= 2*t^2*T, below 2^1000 at once where bias > 2^-300 (so
+    T <= m/bias) and t < 2^300."""
     mu, bias, _ = effective_mean_params(config)
     v_of = [bias + mu / n for n in config.players]
     inv = [1 / v for v in v_of]
+    top = bias + mu
+    if not (bias > 2.0**-300 and top < 2.0**300 or top * (top * sum(inv)) < 2.0**1000):
+        if isinstance(inv[0], float):
+            raise OverflowError("an optimal fine row's divisor overflows a float")
     return mu, bias, v_of, inv
 
 
@@ -257,25 +231,37 @@ MemberError = Callable[[int], Number]
 Floor = Callable[[int, int, int, Number], Number]
 
 
-def _overflow(scheme: FederationScheme, n_j: int, total: int) -> ValidationError:
-    return ValidationError(
-        f"{scheme_name(scheme)} error of a member with {n_j} samples, in a coalition "
-        f"of {total} samples, overflows the float range"
-    )
+def _count_text(n: int) -> str:
+    """A count as a message prints it: past 30 digits, its decimal order
+    (``str`` refuses ints of over 4,300 digits)."""
+    return str(n) if n < 10**30 else f"about 10^{math.log10(n):.1f}"
 
 
-def _bias_again(
-    scheme: FederationScheme, coef: Number, part: Number, n_j: int, total: int
-) -> Number:
-    """A uniform or coarse bias part evaluated again, as ``coef * part``,
-    where its first evaluation, ``coef*B_j`` before the division by N^2, is
-    not finite or overflowed converting to a float.  ``part`` is B_j/N^2,
-    times (1 - w)^2 for a coarse weight w.  Only then: every finite first
-    evaluation keeps its bits."""
-    bias = coef * part
-    if bias < _INF:
-        return bias
-    raise _overflow(scheme, n_j, total)
+def _rounded_twin(scheme: FederationScheme, config: GameConfig) -> "Formula":
+    """The scheme resolved for the exact twin of the scheme and config
+    (``exact_scheme``, ``exact_config``), each error rounded to a float
+    once and refused where it rounds to inf, or to 0: no error is 0.  A
+    float shared term, a float formula's global variance, is taken exactly."""
+    from fractions import Fraction
+
+    twin = scheme_formula(exact_scheme(scheme), exact_config(config))
+    ns = config.players
+
+    def rounded(j: int, total: int, square: int, terms: Any) -> float:
+        terms = Fraction(terms) if isinstance(terms, float) else terms
+        try:
+            err = float(twin.error(j, total, square, terms))
+        except OverflowError:
+            err = 0.0
+        if err:
+            return err
+        raise ValidationError(
+            f"{scheme_name(scheme)} error of a member with {_count_text(ns[j])} samples, in "
+            f"a coalition of {_count_text(total)} samples, overflows the float range or "
+            "rounds to 0"
+        )
+
+    return Formula(rounded, twin.shared, _no_floor, None, False, [_INF] * len(ns))
 
 
 def _listed(members: Sequence[int], total: int) -> Sequence[int]:
@@ -303,18 +289,18 @@ class Formula(NamedTuple):
 
     ``alone[j]`` is player j's error alone, ``error(j, n_j, n_j^2, terms)``:
     their local error, listed once, so a caller reads it without a call.
-    An entry is inf where ``error`` refuses the player alone, or checks the
-    scheme first: a float local error that overflows, a player a coarse
-    scheme has no weight for, and every player under fine federation, whose
-    rows ``error`` checks.  A caller asks ``error`` wherever ``alone[j]``
-    is not finite, and so meets the same refusal.
+    An entry is inf, or 0, where ``error`` evaluates again or checks the
+    scheme first: a float local error that overflows or is 0, a player a
+    coarse scheme has no weight for, and every player under fine federation,
+    whose rows ``error`` checks.  A caller asks ``error`` wherever
+    ``alone[j]`` is not positive and finite, and so meets the same answer.
 
     ``make_floor()`` builds ``floor(j, N, Q, rest)``, a lower bound on
     player j's error that needs no shared term and costs O(1):
-    ``floor <= error`` always, so a scan settles a member whose floor
-    already rules out a gain without taking the shared term.  A scan that
-    asks for the floor builds it once; the callers that do not, such as
-    ``member_formula``, pay nothing for it.  ``rest`` is the sum of
+    ``floor <= error`` wherever it is a number, so a scan settles a member
+    whose floor already rules out a gain without taking the shared term.  A
+    scan that asks for the floor builds it once; the callers that do not,
+    such as ``member_formula``, pay nothing for it.  ``rest`` is the sum of
     ``addends``, one value per player, over the coalition's members other
     than j, in ascending order from 0; where ``addends`` is None it is their
     sample count, N - n_j.  A floor is given for regression uniform and
@@ -329,7 +315,9 @@ class Formula(NamedTuple):
     B_j = Q - n_j^2 + rest^2.  ``error`` adds it last to a variance part
     that is non-negative (a coarse weight lies in [0,1]), so
     ``error >= floor``: in float mode because rounding is monotone, in exact
-    mode because the two differ by that variance.
+    mode because the two differ by that variance.  A float bias part that
+    overflows is NaN: it settles no member, as every comparison with it is
+    false, and ``error`` evaluates the member again.
 
     Fine-optimal: ``addends`` are the 1/V_i, so ``rest`` is S, the sum of
     1/V_i over the other members that ``error`` takes, bit for bit.  With
@@ -365,8 +353,9 @@ class Formula(NamedTuple):
     [2^-1000, 2^1000], clear of the edges of the normal range where relative
     bounds fail, and m <= 1024 (``_fine_floor_scale``).
 
-    Every float error is finite: one that overflows, or is NaN from an
-    overflow, raises ``ValidationError``.
+    Every float error is positive and finite: where its evaluation is not,
+    it is the exact twin's rounded once (``_rounded_twin``), refused with
+    ``ValidationError`` where that rounds to inf or to 0.
     """
 
     error: Callable[[int, int, int, Any], Number]
@@ -417,19 +406,22 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
     """
     ns = config.players
     mu_e = config.mu_e
-    # each player's local error, as ``_variance_term`` writes it
-    if config.linreg is None:
-        local = [mu_e / n for n in ns]
-    else:
-        d = config.linreg.d
-        local = [mu_e * d / (n - d - 1) for n in ns]
+    try:
+        # each player's local error
+        if config.linreg is None:
+            local = [mu_e / n for n in ns]
+        else:
+            d = config.linreg.d
+            local = [mu_e * d / (n - d - 1) for n in ns]
+    except OverflowError:  # a count too large for a float
+        return _rounded_twin(scheme, config)
     if isinstance(scheme, Local):
 
         def local_error(j: int, total: int, square: int, terms: None) -> Number:
             err = local[j]
-            if err < _INF:
+            if err and err < _INF:
                 return err
-            raise _overflow(scheme, ns[j], total)
+            return _rounded_twin(scheme, config).error(j, total, square, terms)
 
         return Formula(local_error, None, _no_floor, None, False, local)
     if isinstance(scheme, Fine):
@@ -442,39 +434,42 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             _check_row(row, members)
             try:
                 err = local[j] if len(members) == 1 else _fine_member(j, row, config)
-            except OverflowError:
-                # an int or Fraction term too large for a float
-                err = _INF
-            if err < _INF:
-                return err
-            raise _overflow(scheme, ns[j], total)
+                if err and err < _INF:
+                    return err
+            except OverflowError:  # an int or Fraction term too large for a float
+                pass
+            return _rounded_twin(scheme, config).error(j, total, square, members)
 
         return Formula(fine, _listed, _no_floor, None, False, [_INF] * len(ns))
     if isinstance(scheme, CoarseOptimal):
         mu, bias, _ = effective_mean_params(config)
+        if (mu < 2.0**-511 or bias and mu * bias < 2.0**-1022) and isinstance(mu * bias, float):
+            # mu^2 or mu*bias below the normal range loses bits the counts multiply up
+            return _rounded_twin(scheme, config)
 
         def coarse_optimal(j: int, total: int, square: int, terms: None) -> Number:
             n = ns[j]
-            if total != n:
-                # B_j inline (``_bias_integer``), and the first evaluation:
-                # this runs once per member a scan asks about
-                rest = total - n
-                b = square - n * n + rest * rest
-                try:
-                    result = (mu * mu * rest + mu * bias * b) / (mu * total * rest + bias * n * b)
-                    if result < _INF:
-                        return result
-                except OverflowError:  # B_j, or N - n_j, too large for a float
-                    pass
-                return _coarse_optimal_again(n, total, b, mu, bias)
-            err = local[j]
-            if err < _INF:
-                return err
-            raise _overflow(scheme, n, total)
+            try:
+                if total == n:
+                    err = local[j]
+                else:
+                    # B_j inline (``_bias_integer``): this runs once per
+                    # member a scan asks about
+                    rest = total - n
+                    b = square - n * n + rest * rest
+                    err = (mu * mu * rest + mu * bias * b) / (mu * total * rest + bias * n * b)
+                if err and err < _INF:
+                    return err
+            except OverflowError:  # B_j, or N - n_j, too large for a float
+                pass
+            return _rounded_twin(scheme, config).error(j, total, square, terms)
 
         return Formula(coarse_optimal, None, _no_floor, None, False, local)
     if isinstance(scheme, FineOptimal):
-        mu, bias, v_of, inv = _optimal_fine_terms(config)
+        try:
+            mu, bias, v_of, inv = _optimal_fine_terms(config)
+        except (OverflowError, ZeroDivisionError):  # a 1/V_i or a row's divisor out of range
+            return _rounded_twin(scheme, config)
 
         def fine_optimal(j: int, total: int, square: int, members: Sequence[int]) -> Number:
             """The error at player j's optimal row (``_optimal_row``) in the
@@ -503,9 +498,9 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
                         off += v
                         off_sq += v * v
                 err = variance + bias * (off_sq + off * off)
-            if err < _INF:
+            if err and err < _INF:
                 return err
-            raise _overflow(scheme, n, total)
+            return _rounded_twin(scheme, config).error(j, total, square, members)
 
         exact = not isinstance(v_of[0], float)
 
@@ -545,28 +540,21 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             for a member alone.
 
             The integer divisor (n_i-d-1)*N*N is exact in any grouping, so
-            N*N is taken once; the terms are summed in member order.  A float
-            mu_e near the top of the float range overflows a numerator; only
-            then is the sum taken again with mu_e factored out of each
-            numerator, n_i*n_i*d, so every finite result keeps its bits."""
+            N*N is taken once; the terms are summed in member order.  Where
+            that overflows, the variance is the exact twin's, not rounded:
+            the member error that takes it is rounded once."""
             if len(members) == 1:
                 return None
             square_total = total * total
             variance = 0
-            for i in members:
-                variance += num[i] / (den[i] * square_total)
-            if variance < _INF:
-                return variance
-            variance = 0
-            for i in members:
-                n = ns[i]
-                variance += n * n * d / (den[i] * square_total)
-            variance = mu_e * variance
-            if variance < _INF:
-                return variance
-            raise ValidationError(
-                f"linear-regression global variance overflows for mu_e={mu_e!r}, N={total}"
-            )
+            try:
+                for i in members:
+                    variance += num[i] / (den[i] * square_total)
+                if variance < _INF:
+                    return variance
+            except OverflowError:  # (n_i-d-1)*N*N too large for a float
+                pass
+            return _rounded_twin(scheme, config).shared(members, total)
 
     if isinstance(scheme, Uniform):
 
@@ -577,23 +565,24 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             b = square - n * n + rest * rest
             try:
                 bias = bias_coef * b / (total * total)
-                if bias < _INF:
-                    return bias
             except OverflowError:  # B_j too large for a float
-                pass
-            return _bias_again(scheme, bias_coef, b / (total * total), n, total)
+                return math.nan
+            return bias if bias < _INF else math.nan
 
         def uniform(j: int, total: int, square: int, variance: Optional[Number]) -> Number:
             n = ns[j]
-            if total == n:
-                err = local[j]
-            else:
-                if variance is None:  # mean estimation: no shared term
-                    variance = mu_e / total
-                err = variance + uniform_bias(j, total, square, total - n)
-            if err < _INF:
-                return err
-            raise _overflow(scheme, n, total)
+            try:
+                if total == n:
+                    err = local[j]
+                else:
+                    # mean estimation has no shared term: the variance is mu_e/N
+                    part = mu_e / total if variance is None else variance
+                    err = part + uniform_bias(j, total, square, total - n)
+                if err and err < _INF:
+                    return err
+            except OverflowError:  # N too large for a float
+                pass
+            return _rounded_twin(scheme, config).error(j, total, square, variance)
 
         make_floor = _no_floor if global_variance is None else lambda: uniform_bias
         return Formula(uniform, global_variance, make_floor, None, False, local)
@@ -607,23 +596,23 @@ def scheme_formula(scheme: FederationScheme, config: GameConfig) -> Formula:
             b = square - n * n + rest * rest  # B_j, ``_bias_integer``, rest = N - n_j
             try:
                 bias = bias_coef * b * (1 - weights[j]) ** 2 / (total * total)
-                if bias < _INF:
-                    return bias
             except OverflowError:  # B_j, or an exact coefficient times it, too large for a float
-                pass
-            part = b / (total * total) * (1 - weights[j]) ** 2
-            return _bias_again(scheme, bias_coef, part, n, total)
+                return math.nan
+            return bias if bias < _INF else math.nan
 
         def coarse(j: int, total: int, square: int, global_var: Optional[Number]) -> Number:
             bias = coarse_bias(j, total, square, total - ns[j])
             n = ns[j]
-            if total == n:
-                err = local[j]
-            else:
-                err = _coarse_variance(n, weights[j], total, global_var, config) + bias
-            if err < _INF:
-                return err
-            raise _overflow(scheme, n, total)
+            try:
+                if total == n:
+                    err = local[j]
+                else:
+                    err = _coarse_variance(n, weights[j], total, global_var, config) + bias
+                if err and err < _INF:
+                    return err
+            except OverflowError:  # N, or an exact term times a weight, too large for a float
+                pass
+            return _rounded_twin(scheme, config).error(j, total, square, global_var)
 
         make_floor = _no_floor if global_variance is None else lambda: coarse_bias
         alone = [err if j in weights else _INF for j, err in enumerate(local)]
@@ -681,9 +670,7 @@ def coalition_member_mse(
 
 def mse_local(j: int, config: GameConfig) -> Number:
     """Expected MSE of local estimation: mu_e/n_j, or mu_e*d/(n_j-d-1)."""
-    _check_type("config", config, GameConfig)
-    _check_player(j, config)
-    return _variance_term(config, config.players[j])
+    return member_formula([j], Local(), config)(j)
 
 
 def mse_uniform(j: int, coalition: Coalition, config: GameConfig) -> Number:
@@ -716,11 +703,7 @@ def player_errors(
         )
     values: dict[int, Number] = {}
     for coalition in partition.coalitions:
-        for j, err in coalition_errors(coalition, scheme, config).items():
-            # not float(err): an exact error may lie beyond the float range
-            if not 0 <= err < _INF:
-                raise ValidationError(f"player {j}: computed MSE {err!r} is not usable")
-            values[j] = err
+        values.update(coalition_errors(coalition, scheme, config))
     note = None
     if config.linreg is not None and isinstance(scheme, (CoarseOptimal, FineOptimal)):
         note = LINREG_OPTIMAL_NOTE

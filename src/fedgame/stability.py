@@ -35,8 +35,8 @@ only a member it does not settle costs the shared term and a call of the
 closed form, and a floor that is the error is taken as the error.  A
 one-player block's current error, and a player's stay-alone check
 (``_individual_deviation``), are read from ``Formula.alone`` without a
-call; only where that entry is not finite is the closed form called, which
-refuses it.
+call; only where that entry is not positive and finite is the closed form
+called, which evaluates it again or refuses it.
 
 The scans work on a partition as its tuple of block bitmasks: the public
 verdicts read their ``Partition``'s ``masks``, and the stable-set search
@@ -262,11 +262,11 @@ class _ErrorTable:
         one-player block's error is its ``Formula.alone`` entry, read without
         a call: a verdict on m singletons asks for m of them, and such
         verdicts hold the median rank of single-verdict latencies.  Where
-        that entry is not finite, ``error_alone`` meets ``error``'s refusal
-        in the block's turn, as a call would have."""
+        that entry is not positive and finite, ``error_alone`` meets
+        ``error``'s answer in the block's turn, as a call would have."""
         error = self.error
         current = list(self.alone)
-        if len(masks) == len(current) and max(current) < _INF:
+        if len(masks) == len(current) and 0 < min(current) and max(current) < _INF:
             # one player per block, and no entry refused: ``alone`` itself
             return current
         for mask in masks:
@@ -277,14 +277,13 @@ class _ErrorTable:
                     current[j] = error(j, total, square, terms)
             else:
                 j = mask.bit_length() - 1
-                if not current[j] < _INF:
+                if not 0 < current[j] < _INF:
                     current[j] = self.error_alone(j)
         return current
 
     def error_alone(self, j: int) -> Number:
         """Player j's error alone by a call of ``error``, N = n_j: for a
-        player whose ``Formula.alone`` entry is not finite, where ``error``
-        refuses them."""
+        player whose ``Formula.alone`` entry is not positive and finite."""
         return self.error(j, *self.coalition([j]))
 
 
@@ -512,7 +511,7 @@ def _individual_deviation(
         if allow_singleton_deviation and own != bit:
             # player i alone: their ``Formula.alone`` entry, inline
             err = alone[i]
-            if (err if err < _INF else table.error_alone(i)) < lower[i]:
+            if (err if 0 < err < _INF else table.error_alone(i)) < lower[i]:
                 return i, bit
     return None
 

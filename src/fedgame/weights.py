@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import (
+    _INF,
     _bias_integer,
     _check_member,
     _check_player,
@@ -38,7 +39,7 @@ from .model import (
     ValidationError,
     _check_type,
     check_row_sum,
-    scheme_name,
+    exact_config,
 )
 
 
@@ -65,7 +66,8 @@ def optimal_w(j: int, coalition: Coalition, config: GameConfig) -> Number:
     """Error-minimizing coarse weight w* for player j.
 
     Alone, every weight yields the same estimator; 1 ("all local") is
-    returned as the honest degenerate value.
+    returned as the honest degenerate value.  A float weight whose closed
+    form overflows is the exact one rounded to a float once.
     """
     _check_inputs(coalition, config)
     _check_member(j, coalition)
@@ -75,8 +77,14 @@ def optimal_w(j: int, coalition: Coalition, config: GameConfig) -> Number:
     mu, bias, _ = effective_mean_params(config)
     n_j = config.players[j]
     total, square = _sample_sums(coalition.members, config.players)
-    num = bias * _bias_integer(n_j, total, square) * n_j
-    return num / (mu * total * (total - n_j) + num)
+    try:
+        num = bias * _bias_integer(n_j, total, square) * n_j
+        den = mu * total * (total - n_j) + num
+        if den < _INF:
+            return num / den
+    except OverflowError:  # a count term too large for a float
+        pass
+    return float(optimal_w(j, coalition, exact_config(config)))
 
 
 def optimal_coarse_mse(j: int, coalition: Coalition, config: GameConfig) -> Number:
@@ -88,14 +96,19 @@ def optimal_v(j: int, coalition: Coalition, config: GameConfig) -> FineWeights:
     """Error-minimizing fine-grained weight row for player j.
 
     Built from V_i = bias + mu/n_i; every entry is strictly inside (0,1)
-    whenever the coalition has at least two members.
+    whenever the coalition has at least two members.  A float row whose
+    closed form overflows is the exact row, each entry rounded once.
     """
     _check_inputs(coalition, config)
     _check_member(j, coalition)
     _check_player(j, config)
     if len(coalition) == 1:
         return FineWeights(player=j, row={j: 1})
-    _, bias, v_of, inv = _optimal_fine_terms(config)
+    try:
+        _, bias, v_of, inv = _optimal_fine_terms(config)
+    except (OverflowError, ZeroDivisionError):  # a 1/V_i or a row's divisor out of range
+        exact = optimal_v(j, coalition, exact_config(config)).row
+        return FineWeights(player=j, row={k: float(v) for k, v in exact.items()})
     return FineWeights(player=j, row=_optimal_row(j, coalition.members, v_of, inv, bias))
 
 
@@ -142,4 +155,4 @@ def explicit_row(
         return row
     if isinstance(scheme, FineOptimal):
         return dict(optimal_v(j, coalition, config).row)
-    raise ValidationError(f"unknown federation scheme {scheme_name(scheme)}")
+    raise ValidationError(f"unknown federation scheme {scheme!r}")

@@ -8,7 +8,8 @@ of an optimal grand coalition and of linear-regression singletons under
 uniform and coarse federation among them, and the stable-set search on the
 paper's three anchor populations.  ``check_two_size`` asks
 the paper's two-size counterexample, as ``fedgame reproduce --all`` prints
-it, in float and exact mode.
+it, in float and exact mode.  ``check_float_range`` asks errors and
+verdicts whose counts are beyond the float range.
 ``check_start_up`` runs each closed-form command in a fresh interpreter and
 asserts that it exits 0 without loading a module of ``SLOW_STDLIB``.  Run
 it from the repository root on any supported CPython; without numpy it
@@ -53,6 +54,7 @@ from fedgame import (
     TwoSizeGame,
     Uniform,
     ValidationError,
+    coalition_errors,
     find_stable_partitions,
     is_core_stable,
     is_individually_stable,
@@ -319,6 +321,26 @@ def check_verdicts() -> None:
             raise AssertionError(f"{unweighted} was not refused")
 
 
+def check_float_range() -> None:
+    """Counts beyond the float range: the uniform errors of two players
+    with 10^308 samples each are 0.5, their bias part.  Singletons of
+    10^400 or 10^5000 samples, mu_e = 1, are refused in float mode, as each
+    local error rounds to 0, with a message that prints no count's digits,
+    and answered stable in exact mode."""
+    errs = coalition_errors([0, 1], Uniform(), GameConfig((10**308, 10**308), 1.0, 1.0))
+    assert errs == {0: 0.5, 1: 0.5}, errs
+    for count in (10**400, 10**5000):
+        config = GameConfig((count, count), 1.0, 1.0)
+        try:
+            is_core_stable(Partition.singletons(2), Uniform(), config)
+        except ValidationError as refusal:
+            assert "overflows the float range or rounds to 0" in str(refusal), refusal
+        else:
+            raise AssertionError(f"singletons of {count.bit_length()}-bit counts were not refused")
+        exact = is_core_stable(Partition.singletons(2), Uniform(), config, PreferenceOrder(exact=True))
+        assert exact.stable, exact
+
+
 # the counterexample's quantities and values, as ``reproduce --all`` prints them
 COUNTEREXAMPLE = [
     ("err_s(pi(70,3))", (70, 3), 0, "1.107322"),
@@ -405,5 +427,7 @@ if __name__ == "__main__":
     print("verdicts ok: core, strict core and individual, anchor stable sets, float and exact")
     check_two_size()
     print("two-size ok: counterexample values, construction and witness, float and exact")
+    check_float_range()
+    print("float range ok: counts of 10^308, 10^400 and 10^5000 answered or refused")
     check_start_up()
     print(f"start-up ok: {len(LIGHT_COMMANDS)} commands load none of {', '.join(SLOW_STDLIB)}")

@@ -405,7 +405,7 @@ def test_a_coarse_optimal_verdict_answers_where_a_count_term_is_beyond_the_float
     verdict_of, exact
 ):
     # B_j is about 10^401, too large for a float: the optimal-coarse form is
-    # evaluated again with the count terms divided by N^2.  With
+    # evaluated exactly and rounded once.  With
     # sigma_sq = 1e-200 each player gains about a third in {a,b}, in both
     # modes.  With sigma_sq = 1, a's gain is about 5e-201 of their error:
     # the exact verdict finds {a,b}, and in float mode it lies inside the

@@ -12,6 +12,7 @@ from fedgame import (
     LinRegSpec,
     Uniform,
     ValidationError,
+    exact_config,
     mse_coarse,
     mse_fine,
     mse_local,
@@ -31,6 +32,7 @@ from oracles import (
 
 T4_CONFIG = GameConfig((30, 30, 30, 300), 10, 1)
 T4_GRAND = Coalition((0, 1, 2, 3))
+T2_PAIR = Coalition((0, 1))
 
 
 def rel_close(a, b, tol=1e-12):
@@ -322,3 +324,34 @@ def test_the_weights_functions_refuse_a_coalition_or_config_of_the_wrong_type():
 def test_fine_weights_reject_nan_row():
     with pytest.raises(ValidationError, match="sums to nan"):
         FineWeights(player=0, row={0: float("nan"), 1: 0.5})
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # B_j*sigma_sq*n_j is too large for a float
+        GameConfig((10**200, 3 * 10**200), 1.0, 1.0),
+        # every count is too large for a float
+        GameConfig((10**400, 10**400), 1.0, 1.0),
+        # V_i = sigma_sq + mu_e/n_i overflows a float
+        GameConfig((1, 2), 1e308, 1e308),
+    ],
+)
+def test_optimal_weights_whose_float_form_overflows_are_answered(config):
+    # They used to raise a bare OverflowError, or give a finite but wrong
+    # row.  The coarse weight is the exact one rounded to a float once; each
+    # fine row entry lies within a few units of roundoff of the exact one.
+    exact = exact_config(config)
+    for j in (0, 1):
+        w = optimal_w(j, T2_PAIR, config)
+        assert type(w) is float and w == float(optimal_w(j, T2_PAIR, exact))
+        row = optimal_v(j, T2_PAIR, config).row
+        exact_row = optimal_v(j, T2_PAIR, exact).row
+        assert row.keys() == exact_row.keys()
+        for k, v in row.items():
+            assert type(v) is float and abs(v - exact_row[k]) <= 2**-51, (j, k, v)
+
+
+def test_explicit_row_refuses_an_unknown_scheme():
+    with pytest.raises(ValidationError, match="^unknown federation scheme 'bogus'$"):
+        weights.explicit_row(0, Coalition((0,)), "bogus", T4_CONFIG)
